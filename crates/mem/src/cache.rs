@@ -134,6 +134,13 @@ impl TagStore {
         (false, false)
     }
 
+    /// Accounts a demand lookup of a line the caller knows is absent:
+    /// advances the recency clock exactly as a missing
+    /// [`TagStore::touch_detailed`] does, without scanning the set.
+    pub fn touch_absent(&mut self) {
+        self.tick += 1;
+    }
+
     /// Fills `line` into the cache, evicting a victim chosen by the
     /// replacement policy if the set is full. `prefetched` marks the fill
     /// as prefetch-originated.
@@ -285,6 +292,16 @@ mod tests {
         assert_eq!(ev.state.line, set0(0));
         assert!(ev.state.prefetched);
         assert!(!ev.state.demand_used);
+    }
+
+    #[test]
+    fn touch_absent_ticks_like_a_missing_touch() {
+        let mut a = small();
+        a.fill(set0(0), false, 0);
+        let mut b = a.clone();
+        assert!(!a.touch(set0(1)));
+        b.touch_absent();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -292,6 +292,31 @@ impl L1Cache {
         }
     }
 
+    /// `true` when a demand load of `line` is rejected on every cycle until
+    /// a fill arrives: the line is absent and the MSHR file refuses it
+    /// (no register free, or its entry has no merge slot left). Nothing
+    /// but a fill can install the line or free an MSHR for a stalled SM.
+    /// An injected MSHR-exhaustion burst does not count: it lapses on its
+    /// own when the burst window ends.
+    pub fn refuses_load(&self, line: LineAddr) -> bool {
+        !self.tags.probe(line) && self.mshrs.refuses(line)
+    }
+
+    /// Applies exactly what [`L1Cache::access`] does to a demand load from
+    /// `pc` whose line [`L1Cache::refuses_load`]: the tag store's recency
+    /// tick, the bypass predictor's `record` then `should_bypass`, the
+    /// injected-fault check for cycle `now`, and one reservation failure
+    /// (the access is rejected whether or not a burst is active).
+    pub fn repeat_refused_load(&mut self, pc: Pc, now: Cycle) {
+        self.tags.touch_absent();
+        if let Some(b) = &mut self.bypass {
+            b.record(pc, false);
+            b.should_bypass(pc);
+        }
+        self.mshr_fault_active(now);
+        self.stats.reservation_fails += 1;
+    }
+
     /// Delivers a fill for `line` (response from L2/DRAM): installs the
     /// line, releases the MSHR and returns the demand loads to wake.
     ///
@@ -459,6 +484,63 @@ mod tests {
         assert_eq!(l1.access(load(9, 0, 0), 0), L1AccessOutcome::Rejected);
         assert_eq!(l1.stats().accesses, before);
         assert_eq!(l1.stats().reservation_fails, 1);
+    }
+
+    /// Every side effect of a refused load, the bypass predictor's and the
+    /// fault state's included, shows in the cache's `Debug` form.
+    fn repeats_like_access(mut c: CacheConfig, plan: Option<gpu_common::FaultPlan>) {
+        c.mshrs = 2;
+        let mut a = L1Cache::new(&c);
+        if let Some(plan) = plan {
+            a.set_fault_state(plan.state(0));
+        }
+        // Outside the test burst windows (cycles 0..4 mod 16).
+        a.access(load(1, 0, 5), 5);
+        a.access(load(2, 0, 5), 5);
+        assert!(a.refuses_load(LineAddr(3)));
+        let mut b = a.clone();
+        for now in 6..45 {
+            assert_eq!(a.access(load(3, 1, now), now), L1AccessOutcome::Rejected);
+            b.repeat_refused_load(Pc(0x10), now);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "cycle {now}");
+        }
+        assert_eq!(b.stats().reservation_fails, 39);
+    }
+
+    #[test]
+    fn repeated_refusal_matches_access() {
+        repeats_like_access(cfg(), None);
+        let mut bypass = cfg();
+        bypass.bypass = true;
+        repeats_like_access(bypass.clone(), None);
+        let burst = gpu_common::FaultPlan::seeded(3).exhausting_mshrs(16, 4);
+        repeats_like_access(bypass, Some(burst));
+    }
+
+    #[test]
+    fn refusal_needs_absent_line_and_full_mshrs() {
+        let mut c = cfg();
+        c.mshrs = 1;
+        c.mshr_merge_slots = 1;
+        let mut l1 = L1Cache::new(&c);
+        assert!(!l1.refuses_load(LineAddr(1)));
+        l1.access(load(1, 0, 0), 0);
+        assert!(l1.refuses_load(LineAddr(2)), "no register free");
+        assert!(!l1.refuses_load(LineAddr(1)), "a merge slot is free");
+        l1.access(load(1, 1, 0), 0);
+        assert!(l1.refuses_load(LineAddr(1)), "merge slots used up");
+        l1.fill(LineAddr(1), 5);
+        assert!(!l1.refuses_load(LineAddr(1)), "resident lines hit");
+        assert!(!l1.refuses_load(LineAddr(2)), "the fill freed the register");
+    }
+
+    #[test]
+    fn injected_burst_alone_is_not_a_refusal() {
+        use gpu_common::FaultPlan;
+        let mut l1 = L1Cache::new(&cfg());
+        l1.set_fault_state(FaultPlan::seeded(1).exhausting_mshrs(100, 10).state(0));
+        assert_eq!(l1.access(load(1, 0, 5), 5), L1AccessOutcome::Rejected);
+        assert!(!l1.refuses_load(LineAddr(1)));
     }
 
     #[test]

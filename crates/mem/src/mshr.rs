@@ -131,15 +131,31 @@ impl MshrFile {
         self.find(line).ok().map(|i| &self.entries[i])
     }
 
+    /// `true` when [`MshrFile::register`] would reject a request for
+    /// `line`: its entry has no merge slot left, or it has no entry and
+    /// every register is in use. Only a completion can change the answer.
+    pub fn refuses(&self, line: LineAddr) -> bool {
+        self.refuses_at(self.find(line))
+    }
+
+    /// The refusal rule, given the result of [`MshrFile::find`].
+    fn refuses_at(&self, found: Result<usize, usize>) -> bool {
+        match found {
+            Ok(i) => self.entries[i].merged.len() >= self.merge_slots,
+            Err(_) => self.is_full(),
+        }
+    }
+
     /// Registers a missing request: merges into an in-flight entry when one
     /// exists, otherwise allocates (if a register is free).
     pub fn register(&mut self, req: MemRequest) -> MshrOutcome {
-        match self.find(req.line) {
+        let found = self.find(req.line);
+        if self.refuses_at(found) {
+            return MshrOutcome::Rejected;
+        }
+        match found {
             Ok(i) => {
                 let entry = &mut self.entries[i];
-                if entry.merged.len() >= self.merge_slots {
-                    return MshrOutcome::Rejected;
-                }
                 let into_prefetch = entry.prefetch_only && req.kind.is_demand();
                 if req.kind.is_demand() {
                     entry.prefetch_only = false;
@@ -148,9 +164,6 @@ impl MshrFile {
                 MshrOutcome::Merged { into_prefetch }
             }
             Err(at) => {
-                if self.is_full() {
-                    return MshrOutcome::Rejected;
-                }
                 let prefetch_only = req.kind == AccessKind::Prefetch;
                 self.entries.insert(
                     at,
@@ -285,6 +298,28 @@ mod tests {
     mod properties {
         use super::*;
         use gpu_common::check::run_cases;
+
+        #[test]
+        fn refuses_predicts_register() {
+            run_cases(64, |_, g| {
+                let mut m = MshrFile::new(3, 2);
+                for i in 0..g.usize_range(0, 99) {
+                    let l = g.range(0, 5);
+                    if i % 5 == 4 {
+                        m.complete(LineAddr(l));
+                        continue;
+                    }
+                    let refused = m.refuses(LineAddr(l));
+                    let outcome = m.register(load(l, i as u32 % 48));
+                    if refused != (outcome == MshrOutcome::Rejected) {
+                        return Err(format!(
+                            "refuses({l}) = {refused}, register gave {outcome:?}"
+                        ));
+                    }
+                }
+                Ok(())
+            });
+        }
 
         #[test]
         fn no_duplicate_lines_and_bounded() {

@@ -147,6 +147,18 @@ impl Lsu {
         self.queue.is_empty() && self.store_queue.is_empty()
     }
 
+    /// `true` when no store line waits to drain.
+    pub fn stores_drained(&self) -> bool {
+        self.store_queue.is_empty()
+    }
+
+    /// PC and line of the L1 probe the head load makes next cycle, or
+    /// `None` when no load is queued.
+    pub fn head_probe(&self) -> Option<(Pc, LineAddr)> {
+        let op = self.queue.front()?;
+        op.lines.front().map(|&line| (op.pc, line))
+    }
+
     /// Accepts a memory instruction.
     ///
     /// # Panics
@@ -162,21 +174,15 @@ impl Lsu {
             return;
         }
         assert!(self.has_room(), "LSU full");
-        if op.is_load {
-            self.outstanding.push((
-                OpKey {
-                    warp: op.warp,
-                    body_idx: op.body_idx,
-                    iter: op.iter,
-                },
-                OpState {
-                    lines_left: op.lines.len(),
-                    fills_pending: 0,
-                    latest_ready: 0,
-                    issue_cycle: op.issue_cycle,
-                },
-            ));
-        }
+        self.outstanding.push((
+            op_key(&op),
+            OpState {
+                lines_left: op.lines.len(),
+                fills_pending: 0,
+                latest_ready: 0,
+                issue_cycle: op.issue_cycle,
+            },
+        ));
         self.queue.push_back(op);
     }
 

@@ -64,7 +64,7 @@ impl SmPort {
     }
 
     /// Accumulates one completed demand load's round-trip latency (flushed
-    /// into [`gpu_mem::stats::MemStats`]-equivalent sums at the barrier).
+    /// into [`gpu_common::stats::MemStats`]-equivalent sums at the barrier).
     pub fn note_load_latency(&mut self, latency: Cycle) {
         self.latency_total += latency;
         self.latency_count += 1;
