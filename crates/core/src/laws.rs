@@ -88,22 +88,32 @@ impl Laws {
     /// Moves `warps` (bitmask) to the queue head, preserving their relative
     /// order.
     fn move_to_head(&mut self, mask: u64) {
-        let (mut picked, rest): (Vec<WarpId>, Vec<WarpId>) = self
-            .queue
-            .iter()
-            .partition(|w| mask & (1u64 << (w.0 % 64)) != 0);
-        picked.extend(rest);
-        self.queue = picked.into_iter().collect();
+        self.partition(mask, true);
     }
 
     /// Moves `warps` (bitmask) to the queue tail, preserving order.
     fn move_to_tail(&mut self, mask: u64) {
-        let (picked, mut rest): (Vec<WarpId>, Vec<WarpId>) = self
-            .queue
-            .iter()
-            .partition(|w| mask & (1u64 << (w.0 % 64)) != 0);
-        rest.extend(picked);
-        self.queue = rest.into_iter().collect();
+        self.partition(mask, false);
+    }
+
+    /// Stable partition of the queue in place: warps in `mask` first when
+    /// `to_head`, last otherwise, each side in its current order. The queue
+    /// holds each warp at most once and at most 64 warps
+    /// (`GpuConfig::validate`), so a stack buffer holds the new order.
+    fn partition(&mut self, mask: u64, to_head: bool) {
+        let mut order = [WarpId(0); 64];
+        let mut n = 0;
+        for first in [to_head, !to_head] {
+            for &w in &self.queue {
+                if (mask & (1u64 << (w.0 % 64)) != 0) == first {
+                    order[n] = w;
+                    n += 1;
+                }
+            }
+        }
+        for (slot, &w) in self.queue.iter_mut().zip(&order[..n]) {
+            *slot = w;
+        }
     }
 
     fn mask_of(warps: impl Iterator<Item = WarpId>) -> u64 {
@@ -135,19 +145,24 @@ impl WarpScheduler for Laws {
         }
         // The paper's greedy queue round-robins over the leading group
         // ("8 warps will be scheduled in a round robin fashion", Section
-        // IV): rotate within the head window, then fall back to the first
-        // ready warp further down the queue.
+        // IV): rotate within the head window — the first ready warp in
+        // queue order whose ID follows the last head pick, else the first
+        // ready one — then fall back to the first ready warp further down
+        // the queue.
         let window = self.head_window.min(self.queue.len());
-        let head: Vec<WarpId> = self
-            .queue
-            .iter()
-            .take(window)
-            .copied()
-            .filter(|w| ready_mask & (1u64 << (w.0 % 64)) != 0)
-            .collect();
-        if !head.is_empty() {
-            let start = self.head_rr.map_or(0, |l| l.wrapping_add(1));
-            let pick = *head.iter().find(|w| w.0 >= start).unwrap_or(&head[0]);
+        let start = self.head_rr.map_or(0, |l| l.wrapping_add(1));
+        let (mut after, mut first) = (None, None);
+        for &w in self.queue.iter().take(window) {
+            if ready_mask & (1u64 << (w.0 % 64)) == 0 {
+                continue;
+            }
+            if w.0 >= start {
+                after = Some(w);
+                break;
+            }
+            first.get_or_insert(w);
+        }
+        if let Some(pick) = after.or(first) {
             self.head_rr = Some(pick.0);
             return Some(pick);
         }
@@ -450,6 +465,101 @@ mod tests {
         let before = s.queue_order();
         s.on_l1_event(&event(0, 0x20, L1Outcome::Miss));
         assert_eq!(s.queue_order(), before, "no demotion when disabled");
+    }
+
+    /// The `Vec`-building head-window pick LAWS used before its one-pass
+    /// rewrite: `(pick, head_rr after the pick)`.
+    fn reference_pick(
+        queue: &VecDeque<WarpId>,
+        ready: &[ReadyWarp],
+        head_window: usize,
+        head_rr: Option<u32>,
+    ) -> (Option<WarpId>, Option<u32>) {
+        let ready_mask = Laws::mask_of(ready.iter().map(|r| r.id));
+        let window = head_window.min(queue.len());
+        let head: Vec<WarpId> = queue
+            .iter()
+            .take(window)
+            .copied()
+            .filter(|w| ready_mask & (1u64 << (w.0 % 64)) != 0)
+            .collect();
+        if !head.is_empty() {
+            let start = head_rr.map_or(0, |l| l.wrapping_add(1));
+            let pick = *head.iter().find(|w| w.0 >= start).unwrap_or(&head[0]);
+            return (Some(pick), Some(pick.0));
+        }
+        let rest = queue
+            .iter()
+            .skip(window)
+            .copied()
+            .find(|w| ready_mask & (1u64 << (w.0 % 64)) != 0);
+        (rest, head_rr)
+    }
+
+    /// The `partition`-based queue moves LAWS used before its in-place
+    /// rewrite.
+    fn reference_move(queue: &VecDeque<WarpId>, mask: u64, to_head: bool) -> VecDeque<WarpId> {
+        let (picked, rest): (Vec<WarpId>, Vec<WarpId>) = queue
+            .iter()
+            .partition(|w| mask & (1u64 << (w.0 % 64)) != 0);
+        let (mut front, back) = if to_head { (picked, rest) } else { (rest, picked) };
+        front.extend(back);
+        front.into_iter().collect()
+    }
+
+    /// A random queue: a shuffled subset of `0..64`, up to all 64 warps.
+    fn random_queue(g: &mut gpu_common::check::Gen) -> VecDeque<WarpId> {
+        let keep = g.prob() + 0.05;
+        let mut ids: Vec<WarpId> = (0..64).filter(|_| g.chance(keep)).map(WarpId).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, g.usize_range(0, i));
+        }
+        ids.into_iter().collect()
+    }
+
+    #[test]
+    fn one_pass_pick_matches_the_reference() {
+        gpu_common::check::run_cases(500, |case, g| {
+            let mut s = Laws::with_defaults();
+            s.initialized = true;
+            s.queue = random_queue(g);
+            s.head_window = g.usize_range(0, 70);
+            s.head_rr = g.chance(0.8).then(|| g.range(0, 64) as u32);
+            let p = g.prob();
+            let ids: Vec<u32> = (0..64).filter(|_| g.chance(p)).collect();
+            let r = ready(&ids);
+            let want = reference_pick(&s.queue, &r, s.head_window, s.head_rr);
+            let got = (s.pick(&r, &ctx()), s.head_rr);
+            if got != want {
+                return Err(format!("case {case}: got {got:?}, want {want:?}"));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn in_place_moves_match_the_reference() {
+        gpu_common::check::run_cases(500, |case, g| {
+            let mut s = Laws::with_defaults();
+            s.queue = random_queue(g);
+            let mask = match g.range(0, 3) {
+                0 => 0,
+                1 => u64::MAX,
+                2 => 1u64 << g.range(0, 63),
+                _ => g.u64() & g.u64(),
+            };
+            let to_head = g.chance(0.5);
+            let want = reference_move(&s.queue, mask, to_head);
+            if to_head {
+                s.move_to_head(mask);
+            } else {
+                s.move_to_tail(mask);
+            }
+            if s.queue != want {
+                return Err(format!("case {case}: mask {mask:#x}, to_head {to_head}"));
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -37,4 +37,4 @@ mod warp;
 pub use instr::{LoadSlot, Op, StaticInstr};
 pub use kernel::{Kernel, KernelBuilder};
 pub use pattern::{AddressPattern, PatternSampler};
-pub use warp::{IssuedInstr, WarpProgram, WarpProgress};
+pub use warp::{IssueState, IssuedInstr, WarpProgram, WarpProgress};

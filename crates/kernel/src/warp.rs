@@ -3,7 +3,7 @@
 
 use crate::instr::{Op, StaticInstr};
 use crate::kernel::Kernel;
-use gpu_common::Cycle;
+use gpu_common::{Cycle, Pc};
 use std::sync::Arc;
 
 /// Sentinel for "result outstanding" (e.g. a load waiting on memory).
@@ -29,14 +29,49 @@ impl WarpProgram {
 
     /// Creates a fresh progress tracker positioned at the first instruction.
     pub fn start(&self) -> WarpProgress {
-        WarpProgress {
+        let mut w = WarpProgress {
             body_idx: 0,
             iter: 0,
             ready_at: vec![0; self.kernel.body().len()],
             finished: self.kernel.iterations() == 0,
             barrier_blocked: false,
-        }
+            next: IssueState::NONE,
+        };
+        w.refresh(&self.kernel);
+        w
     }
+}
+
+/// What the issue stage needs to know about a warp's current instruction.
+/// [`WarpProgress`] keeps it current in each of its mutators, so reading it
+/// touches neither the kernel body nor the instruction's dependency list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IssueState {
+    /// Earliest cycle the current instruction can issue given the
+    /// scoreboard alone; `Cycle::MAX` when no such cycle is knowable from
+    /// warp-local state: the warp is finished, blocked at a barrier, or a
+    /// dependency is an in-flight load, whose completion is an external
+    /// event (the memory system's fill delivery covers it). The SM's
+    /// skip-ahead and wake rails read this field: when the warp cannot
+    /// issue at `now` but `at` is finite, cycles in `now..at` are provably
+    /// silent for it.
+    pub at: Cycle,
+    /// PC of the current instruction (`Pc(0)` once finished).
+    pub pc: Pc,
+    /// The current instruction is a global load or store.
+    pub is_mem: bool,
+    /// The current instruction is a global load.
+    pub is_load: bool,
+}
+
+impl IssueState {
+    /// The state of a finished warp: nothing to issue, ever.
+    const NONE: IssueState = IssueState {
+        at: Cycle::MAX,
+        pc: Pc(0),
+        is_mem: false,
+        is_load: false,
+    };
 }
 
 /// Execution progress of one warp through its [`Kernel`].
@@ -45,6 +80,10 @@ impl WarpProgram {
 /// available in the current iteration (`u64::MAX` (pending) while a load is in
 /// flight). Dependencies only ever point backwards within an iteration, so
 /// the vector is reset when the warp wraps to the next iteration.
+///
+/// `next` caches the current instruction's [`IssueState`]. Every method
+/// that moves the warp or its scoreboard recomputes it, so it can never be
+/// stale; debug builds check each read against a fresh computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarpProgress {
     body_idx: usize,
@@ -52,6 +91,7 @@ pub struct WarpProgress {
     ready_at: Vec<Cycle>,
     finished: bool,
     barrier_blocked: bool,
+    next: IssueState,
 }
 
 /// Description of an instruction the pipeline just issued.
@@ -90,27 +130,64 @@ impl WarpProgress {
         }
     }
 
+    /// The cached issue state of the current instruction, in O(1).
+    /// `kernel` is read only by the debug-build check against a fresh
+    /// computation from the scoreboard and the kernel body.
+    #[inline]
+    pub fn issue_state(&self, kernel: &Kernel) -> IssueState {
+        debug_assert_eq!(
+            self.next,
+            self.fresh_issue_state(kernel),
+            "stale issue state (idx {}, iter {})",
+            self.body_idx,
+            self.iter
+        );
+        self.next
+    }
+
+    /// Computes the issue state from the scoreboard and the kernel body:
+    /// the latest completion among the current instruction's producers
+    /// (`PENDING` absorbs the maximum), or `Cycle::MAX` at a barrier.
+    fn fresh_issue_state(&self, kernel: &Kernel) -> IssueState {
+        let Some(ins) = self.current(kernel) else {
+            return IssueState::NONE;
+        };
+        let at = if self.barrier_blocked {
+            Cycle::MAX
+        } else {
+            ins.deps.iter().map(|&d| self.ready_at[d]).max().unwrap_or(0)
+        };
+        IssueState {
+            at,
+            pc: ins.pc,
+            is_mem: ins.op.is_mem(),
+            is_load: ins.op.is_load(),
+        }
+    }
+
+    /// Recomputes the cached issue state after a mutation.
+    fn refresh(&mut self, kernel: &Kernel) {
+        self.next = self.fresh_issue_state(kernel);
+    }
+
     /// `true` when every dependency of the current instruction has completed
-    /// by `now` (and the warp is not finished).
+    /// by `now` (and the warp is not finished or blocked at a barrier).
     pub fn can_issue(&self, kernel: &Kernel, now: Cycle) -> bool {
-        if self.barrier_blocked {
-            return false;
-        }
-        match self.current(kernel) {
-            None => false,
-            Some(ins) => ins.deps.iter().all(|&d| self.ready_at[d] <= now),
-        }
+        let at = self.issue_state(kernel).at;
+        at != Cycle::MAX && at <= now
     }
 
     /// Blocks the warp at a barrier it just issued (until
     /// [`WarpProgress::release_barrier`]).
     pub fn block_at_barrier(&mut self) {
         self.barrier_blocked = true;
+        self.next.at = Cycle::MAX;
     }
 
     /// Releases the warp from its barrier.
-    pub fn release_barrier(&mut self) {
+    pub fn release_barrier(&mut self, kernel: &Kernel) {
         self.barrier_blocked = false;
+        self.refresh(kernel);
     }
 
     /// `true` while the warp waits at a barrier.
@@ -118,16 +195,11 @@ impl WarpProgress {
         self.barrier_blocked
     }
 
-    /// `true` if the warp is stalled specifically on an outstanding load.
-    pub fn blocked_on_load(&self, kernel: &Kernel, now: Cycle) -> bool {
-        match self.current(kernel) {
-            None => false,
-            Some(ins) => ins.deps.iter().any(|&d| {
-                self.ready_at[d] > now
-                    && self.ready_at[d] == PENDING
-                    && kernel.body()[d].op.is_load()
-            }),
-        }
+    /// `true` if the warp, not finished and not at a barrier, is stalled on
+    /// an outstanding load. Only loads leave a producer pending, so this is
+    /// exactly "no warp-local issue cycle exists".
+    pub fn blocked_on_load(&self, kernel: &Kernel) -> bool {
+        !self.finished && !self.barrier_blocked && self.issue_state(kernel).at == PENDING
     }
 
     /// Issues the current instruction at cycle `now`, advancing the warp and
@@ -179,6 +251,7 @@ impl WarpProgress {
                 self.ready_at.fill(0);
             }
         }
+        self.refresh(kernel);
         issued
     }
 
@@ -186,9 +259,10 @@ impl WarpProgress {
     ///
     /// Late completions for an iteration the warp has already left are
     /// ignored — the scoreboard was reset because no consumer remained.
-    pub fn complete_load(&mut self, body_idx: usize, iter: u64, cycle: Cycle) {
+    pub fn complete_load(&mut self, kernel: &Kernel, body_idx: usize, iter: u64, cycle: Cycle) {
         if iter == self.iter && self.ready_at[body_idx] == PENDING {
             self.ready_at[body_idx] = cycle;
+            self.refresh(kernel);
         }
     }
 
@@ -196,31 +270,6 @@ impl WarpProgress {
     /// yet completed.
     pub fn load_outstanding(&self, body_idx: usize) -> bool {
         self.ready_at[body_idx] == PENDING
-    }
-
-    /// Earliest cycle at which the current instruction could issue given the
-    /// scoreboard alone, or `None` when no future cycle is knowable from
-    /// warp-local state: the warp is finished, blocked at a barrier, or a
-    /// dependency is an in-flight load (whose completion is an external
-    /// event — the memory system's fill delivery covers it).
-    ///
-    /// The skip-ahead engine uses this as one rail of its next-event
-    /// lattice: when `can_issue` is false at `now` but this returns
-    /// `Some(c)`, cycles in `now..c` are provably silent for this warp.
-    pub fn next_issue_cycle(&self, kernel: &Kernel) -> Option<Cycle> {
-        if self.barrier_blocked {
-            return None;
-        }
-        let ins = self.current(kernel)?;
-        let mut ready = 0;
-        for &d in &ins.deps {
-            let at = self.ready_at[d];
-            if at == PENDING {
-                return None;
-            }
-            ready = ready.max(at);
-        }
-        Some(ready)
     }
 }
 
@@ -257,9 +306,9 @@ mod tests {
         assert!(ld.instr.op.is_load());
         // Next instruction depends on the load: blocked.
         assert!(!w.can_issue(&k, 100));
-        assert!(w.blocked_on_load(&k, 100));
+        assert!(w.blocked_on_load(&k));
         assert!(w.load_outstanding(0));
-        w.complete_load(0, 0, 57);
+        w.complete_load(&k, 0, 0, 57);
         assert!(!w.load_outstanding(0));
         assert!(!w.can_issue(&k, 56));
         assert!(w.can_issue(&k, 57));
@@ -271,7 +320,7 @@ mod tests {
         let k = p.kernel().clone();
         let mut w = p.start();
         w.issue(&k, 0);
-        w.complete_load(0, 0, 10);
+        w.complete_load(&k, 0, 0, 10);
         let alu = w.issue(&k, 10);
         assert!(matches!(alu.instr.op, Op::Alu { latency: 8 }));
         assert!(!w.can_issue(&k, 17));
@@ -286,7 +335,7 @@ mod tests {
         for iter in 0..2 {
             let ld = w.issue(&k, 1000 * iter);
             assert_eq!(ld.iter, iter);
-            w.complete_load(0, iter, 1000 * iter + 1);
+            w.complete_load(&k, 0, iter, 1000 * iter + 1);
             w.issue(&k, 1000 * iter + 1);
             w.issue(&k, 1000 * iter + 9);
         }
@@ -309,7 +358,7 @@ mod tests {
         assert_eq!(w.iter(), 1);
         // Completion for iteration 0 arrives late: must not mark iteration 1's
         // (not yet issued) instance complete in a wrong way.
-        w.complete_load(0, 0, 500);
+        w.complete_load(&k, 0, 0, 500);
         assert!(w.can_issue(&k, 500));
         let second = w.issue(&k, 500);
         assert_eq!(second.iter, 1);
@@ -340,7 +389,7 @@ mod tests {
         w.block_at_barrier();
         assert!(!w.can_issue(&k, 1000));
         assert!(w.at_barrier());
-        w.release_barrier();
+        w.release_barrier(&k);
         assert!(w.can_issue(&k, 1000));
     }
 
@@ -350,15 +399,15 @@ mod tests {
         let k = p.kernel().clone();
         let mut w = p.start();
         // Fresh warp: load has no deps, issueable immediately.
-        assert_eq!(w.next_issue_cycle(&k), Some(0));
+        assert_eq!(w.issue_state(&k).at, 0);
         w.issue(&k, 0);
         // Consumer waits on an in-flight load: no warp-local bound exists.
-        assert_eq!(w.next_issue_cycle(&k), None);
-        w.complete_load(0, 0, 40);
-        assert_eq!(w.next_issue_cycle(&k), Some(40));
+        assert_eq!(w.issue_state(&k).at, Cycle::MAX);
+        w.complete_load(&k, 0, 0, 40);
+        assert_eq!(w.issue_state(&k).at, 40);
         w.issue(&k, 40);
         // ALU producer with latency 8: dependent ready at 48.
-        assert_eq!(w.next_issue_cycle(&k), Some(48));
+        assert_eq!(w.issue_state(&k).at, 48);
     }
 
     #[test]
@@ -370,13 +419,13 @@ mod tests {
         let p = WarpProgram::new(Arc::new(k));
         let k = p.kernel().clone();
         let mut w = p.start();
-        assert_eq!(w.next_issue_cycle(&k), Some(0));
+        assert_eq!(w.issue_state(&k).at, 0);
         w.block_at_barrier();
-        assert_eq!(w.next_issue_cycle(&k), None);
-        w.release_barrier();
+        assert_eq!(w.issue_state(&k).at, Cycle::MAX);
+        w.release_barrier(&k);
         w.issue(&k, 5);
         assert!(w.is_finished());
-        assert_eq!(w.next_issue_cycle(&k), None);
+        assert_eq!(w.issue_state(&k).at, Cycle::MAX);
     }
 
     #[test]
@@ -389,5 +438,71 @@ mod tests {
         let mut w = p.start();
         w.issue(&k, 0);
         assert!(w.is_finished());
+    }
+
+    /// A random kernel: 1..=8 instructions of every kind, each depending on
+    /// a random subset of the earlier non-stores, run for 1..=4 iterations.
+    fn random_kernel(g: &mut gpu_common::check::Gen) -> Kernel {
+        let mut b = Kernel::builder("random").iterations(g.range(1, 4));
+        let mut producers: Vec<usize> = Vec::new();
+        for i in 0..g.usize_range(1, 8) {
+            let deps: Vec<usize> = producers.iter().copied().filter(|_| g.chance(0.4)).collect();
+            let kind = g.range(0, 3);
+            if kind != 2 {
+                producers.push(i); // stores produce no value
+            }
+            let pattern = AddressPattern::warp_strided(0, 512, 128, 4);
+            b = match kind {
+                0 => b.alu(g.range(1, 20), &deps),
+                1 => b.load(pattern, &deps),
+                2 => b.store(pattern, &deps),
+                _ => b.barrier(&deps),
+            };
+        }
+        b.build()
+    }
+
+    #[test]
+    fn cached_issue_state_matches_a_fresh_recompute() {
+        gpu_common::check::run_cases(200, |_, g| {
+            let k = random_kernel(g);
+            let mut w = WarpProgram::new(Arc::new(k.clone())).start();
+            let mut loads: Vec<(usize, u64)> = Vec::new();
+            let mut now = 0;
+            for step in 0..400 {
+                match g.range(0, 3) {
+                    0 => now += g.range(0, 30),
+                    1 if w.can_issue(&k, now) => {
+                        let issued = w.issue_with_jitter(&k, now, g.range(0, 2));
+                        if issued.instr.op.is_load() {
+                            loads.push((issued.body_idx, issued.iter));
+                        }
+                        if issued.instr.op.is_barrier() && !w.is_finished() {
+                            w.block_at_barrier();
+                        }
+                    }
+                    2 if !loads.is_empty() => {
+                        let (idx, iter) = loads.swap_remove(g.usize_range(0, loads.len() - 1));
+                        w.complete_load(&k, idx, iter, now + g.range(0, 5));
+                    }
+                    _ if w.at_barrier() => w.release_barrier(&k),
+                    _ => {}
+                }
+                if w.next != w.fresh_issue_state(&k) {
+                    return Err(format!("step {step}: cached {:?} vs fresh {:?}", w.next, w.fresh_issue_state(&k)));
+                }
+                // The scoreboard rule the cache replaces, read directly.
+                let ready = !w.is_finished()
+                    && !w.at_barrier()
+                    && k.body()[w.body_idx()].deps.iter().all(|&d| w.ready_at[d] <= now);
+                if w.can_issue(&k, now) != ready {
+                    return Err(format!("step {step}: can_issue disagrees at {now}"));
+                }
+                if w.is_finished() {
+                    break;
+                }
+            }
+            Ok(())
+        });
     }
 }

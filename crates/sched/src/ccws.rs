@@ -17,7 +17,8 @@
 
 use gpu_common::{LineAddr, WarpId};
 use gpu_sm::traits::{L1Event, ReadyWarp, SchedCtx, SchedFeedback, WarpScheduler};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 
 /// Victim-tag entries per warp.
 const VTA_ENTRIES: usize = 16;
@@ -31,6 +32,9 @@ const DECAY_PER_ROUND: u64 = 1;
 const SCORE_FULL_THROTTLE: u64 = 8 * VTA_HIT_SCORE;
 /// Never throttle below this many warps.
 const MIN_ACTIVE_WARPS: usize = 4;
+/// Upper bound on warps per SM (`GpuConfig::validate` enforces it), so a
+/// ready set fits a stack array.
+const MAX_WARPS: usize = 64;
 
 #[derive(Debug, Clone, Default)]
 struct WarpLocality {
@@ -41,10 +45,10 @@ struct WarpLocality {
 /// Cache-conscious wavefront scheduler with dynamic warp throttling.
 #[derive(Debug, Clone, Default)]
 pub struct Ccws {
-    // BTreeMap, not HashMap: score sums and the per-round decay iterate
-    // the table, so visit order must be WarpId order, not a per-process
-    // RandomState (lint: hash-iter).
-    warps: BTreeMap<WarpId, WarpLocality>,
+    // Warp-indexed (`WarpId::index`), per the flat-vs-ordered container
+    // policy (DESIGN.md §13): one flat slot per warp, grown on first touch,
+    // visited in WarpId order by construction.
+    warps: Vec<WarpLocality>,
     table_accesses: u64,
     last: Option<u32>,
     picks: u64,
@@ -58,11 +62,27 @@ impl Ccws {
 
     /// Lost-locality score of `warp` (diagnostics/tests).
     pub fn score(&self, warp: WarpId) -> u64 {
-        self.warps.get(&warp).map_or(0, |w| w.score)
+        self.warps.get(warp.index()).map_or(0, |w| w.score)
     }
 
     fn total_score(&self) -> u64 {
-        self.warps.values().map(|w| w.score).sum()
+        self.warps.iter().map(|w| w.score).sum()
+    }
+
+    /// `warp`'s slot, created (with every lower one) on first touch.
+    fn slot_mut(&mut self, warp: WarpId) -> &mut WarpLocality {
+        if self.warps.len() <= warp.index() {
+            self.warps.resize_with(warp.index() + 1, WarpLocality::default);
+        }
+        &mut self.warps[warp.index()]
+    }
+
+    /// Forgets `warp`'s locality history, keeping the slot's buffer.
+    fn reset(&mut self, warp: WarpId) {
+        if let Some(w) = self.warps.get_mut(warp.index()) {
+            w.vta.clear();
+            w.score = 0;
+        }
     }
 
     /// Number of warps currently allowed to issue.
@@ -84,38 +104,44 @@ impl WarpScheduler for Ccws {
         if ready.is_empty() {
             return None;
         }
-        let allowed = self.allowed_warps(ctx.warps_per_sm);
+        debug_assert!(ready.len() <= MAX_WARPS, "ready set beyond {MAX_WARPS} warps");
         // The allowed set is the `allowed` highest-scoring warps by ID-stable
-        // order: sort warp IDs by (score desc, id asc) and keep the prefix.
-        // Warps outside the cut may not issue (throttled).
-        let mut by_score: Vec<WarpId> = ready.iter().map(|r| r.id).collect();
-        by_score.sort_by_key(|w| (std::cmp::Reverse(self.score(*w)), w.0));
-        let allowed_set: Vec<WarpId> = by_score.into_iter().take(allowed).collect();
-        if allowed_set.is_empty() {
-            return None;
+        // order: the prefix of the ready warps ordered by (score desc, id
+        // asc). Warps outside the cut may not issue (throttled). Each key is
+        // computed once; the cut only needs partitioning, not a full sort.
+        let mut keys = [(Reverse(0), 0); MAX_WARPS];
+        let n = ready.len().min(MAX_WARPS);
+        for (key, r) in keys.iter_mut().zip(ready) {
+            *key = (Reverse(self.score(r.id)), r.id.0);
         }
-        // Round-robin among allowed warps for fairness inside the cut.
+        let keys = &mut keys[..n];
+        let cut = self.allowed_warps(ctx.warps_per_sm).min(n);
+        if cut < n {
+            keys.select_nth_unstable(cut);
+        }
+        // Round-robin among allowed warps for fairness inside the cut: the
+        // lowest ID after the last pick, else the lowest ID.
         let start = self.last.map_or(0, |l| l.wrapping_add(1));
-        let mut candidates: Vec<WarpId> = allowed_set.clone();
-        candidates.sort_by_key(|w| w.0);
-        let pick = *candidates
-            .iter()
-            .find(|w| w.0 >= start)
-            .unwrap_or(&candidates[0]);
-        self.last = Some(pick.0);
+        let allowed = keys[..cut].iter().map(|&(_, id)| id);
+        let pick = allowed
+            .clone()
+            .filter(|&id| id >= start)
+            .min()
+            .or_else(|| allowed.min())?;
+        self.last = Some(pick);
         // Decay once per scheduling round.
         self.picks += 1;
         if self.picks.is_multiple_of(ctx.warps_per_sm as u64) {
-            for w in self.warps.values_mut() {
+            for w in &mut self.warps {
                 w.score = w.score.saturating_sub(DECAY_PER_ROUND);
             }
         }
-        Some(pick)
+        Some(WarpId(pick))
     }
 
     fn on_l1_event(&mut self, ev: &L1Event) -> SchedFeedback {
         self.table_accesses += 1;
-        let entry = self.warps.entry(ev.warp).or_default();
+        let entry = self.slot_mut(ev.warp);
         if !ev.outcome.counts_as_hit() {
             // Miss: did this warp recently touch the line? Then locality was
             // lost to inter-warp contention.
@@ -132,12 +158,12 @@ impl WarpScheduler for Ccws {
     }
 
     fn on_warp_finished(&mut self, warp: WarpId) {
-        self.warps.remove(&warp);
+        self.reset(warp);
     }
 
     fn on_warp_launched(&mut self, warp: WarpId) {
         // A fresh thread block has no locality history.
-        self.warps.remove(&warp);
+        self.reset(warp);
     }
 
     fn table_accesses(&self) -> u64 {
@@ -250,6 +276,62 @@ mod tests {
         assert!(s.score(WarpId(0)) > 0);
         s.on_warp_launched(WarpId(0));
         assert_eq!(s.score(WarpId(0)), 0);
+    }
+
+    /// The sort-based pick this scheduler used before its flat rewrite:
+    /// the warp [`Ccws::pick`] must choose, computed without side effects.
+    fn reference_pick(s: &Ccws, ready: &[ReadyWarp], warps_per_sm: usize) -> Option<WarpId> {
+        let allowed = s.allowed_warps(warps_per_sm);
+        let mut by_score: Vec<WarpId> = ready.iter().map(|r| r.id).collect();
+        by_score.sort_by_key(|w| (Reverse(s.score(*w)), w.0));
+        let allowed_set: Vec<WarpId> = by_score.into_iter().take(allowed).collect();
+        if allowed_set.is_empty() {
+            return None;
+        }
+        let start = s.last.map_or(0, |l| l.wrapping_add(1));
+        let mut candidates: Vec<WarpId> = allowed_set.clone();
+        candidates.sort_by_key(|w| w.0);
+        Some(
+            *candidates
+                .iter()
+                .find(|w| w.0 >= start)
+                .unwrap_or(&candidates[0]),
+        )
+    }
+
+    #[test]
+    fn flat_pick_matches_the_sort_based_reference() {
+        gpu_common::check::run_cases(300, |case, g| {
+            let wps = g.usize_range(1, MAX_WARPS);
+            let c = SchedCtx {
+                warps_per_sm: wps,
+                ..ctx(0.0)
+            };
+            let mut s = Ccws::new();
+            s.picks = g.range(0, 100);
+            s.last = g.chance(0.8).then(|| g.range(0, wps as u64) as u32);
+            for _ in 0..40 {
+                // Scores in few distinct values, so ties are common.
+                for _ in 0..g.usize_range(0, 4) {
+                    let w = WarpId(g.range(0, wps as u64 - 1) as u32);
+                    s.slot_mut(w).score = g.range(0, 3) * VTA_HIT_SCORE + g.range(0, 1);
+                }
+                if g.chance(0.1) {
+                    s.reset(WarpId(g.range(0, wps as u64 - 1) as u32));
+                }
+                let mut ids: Vec<u32> = (0..wps as u32).filter(|_| g.chance(0.5)).collect();
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, g.usize_range(0, i));
+                }
+                let r = ready(&ids);
+                let want = reference_pick(&s, &r, wps);
+                let got = s.pick(&r, &c);
+                if got != want || (got.is_some() && s.last != got.map(|w| w.0)) {
+                    return Err(format!("case {case}: ready {ids:?}: got {got:?}, want {want:?}"));
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -27,7 +27,7 @@ use gpu_common::config::GpuConfig;
 use gpu_common::fault::{FaultCounters, FaultPlan};
 use gpu_common::stats::{CacheStats, EnergyEvents, PrefetchStats, SimStats};
 use gpu_common::{Cycle, LineAddr, Pc, SmId, StallReason, StalledWarp, WarpId};
-use gpu_kernel::{Kernel, Op, PatternSampler, WarpProgram, WarpProgress};
+use gpu_kernel::{IssueState, Kernel, Op, PatternSampler, WarpProgram, WarpProgress};
 use gpu_mem::coalesce::coalesce;
 use gpu_mem::l1::L1Cache;
 use gpu_mem::request::MemRequest;
@@ -59,13 +59,14 @@ struct WarpScan {
 }
 
 /// Earliest cycle after `now` at which a warp can change the ready set
-/// or the stall class on its own: its scoreboard release `next` (see
-/// [`WarpProgress::next_issue_cycle`]) while that lies ahead, else its
-/// block-launch boundary `launch` while it is issuable but not launched.
-/// `None` when only an external event can change it: a fill, a barrier
-/// release or an LSU pop.
-fn wake_after(next: Option<Cycle>, launch: Cycle, now: Cycle) -> Option<Cycle> {
-    match next? {
+/// or the stall class on its own: its scoreboard release `next` (the
+/// cached [`IssueState::at`]) while that lies ahead, else its block-launch
+/// boundary `launch` while it is issuable but not launched. `None` when
+/// only an external event can change it (`next` is `Cycle::MAX`): a fill,
+/// a barrier release or an LSU pop.
+fn wake_after(next: Cycle, launch: Cycle, now: Cycle) -> Option<Cycle> {
+    match next {
+        Cycle::MAX => None,
         at if at > now => Some(at),
         _ if launch > now => Some(launch),
         _ => None,
@@ -104,10 +105,8 @@ impl Sm {
         scheduler: Box<dyn WarpScheduler>,
         prefetcher: Box<dyn Prefetcher>,
     ) -> Self {
-        let program = WarpProgram::new(kernel.clone());
-        let warps = (0..cfg.core.warps_per_sm)
-            .map(|_| program.start())
-            .collect::<Vec<_>>();
+        // Every warp starts in the same state: compute it once and copy it.
+        let warps = vec![WarpProgram::new(kernel.clone()).start(); cfg.core.warps_per_sm];
         Sm {
             id,
             sampler: PatternSampler::new(kernel.seed(), cfg.core.warp_size as u32),
@@ -448,7 +447,7 @@ impl Sm {
             let arrived = self.barriers.remove(&key).unwrap_or_default();
             let released = arrived.len() as u32;
             for w in arrived {
-                self.warps[w.index()].release_barrier();
+                self.warps[w.index()].release_barrier(&self.kernel);
             }
             self.record(TraceEvent::BarrierRelease {
                 cycle: now,
@@ -463,7 +462,8 @@ impl Sm {
     /// The one warp pass of an issue slot: fills the ready set and, in the
     /// same walk, attributes a stall (LSU-full when an issuable warp, even
     /// one before its launch boundary, waits only on a full LSU queue) and
-    /// finds the earliest warp-local wake rail.
+    /// finds the earliest warp-local wake rail. It reads only each warp's
+    /// cached [`IssueState`], never the kernel body.
     fn scan_warps(&mut self, now: Cycle) -> WarpScan {
         self.ready_buf.clear();
         let lsu_room = self.lsu.has_room();
@@ -474,20 +474,20 @@ impl Sm {
             wake: None,
         };
         for (i, w) in self.warps.iter().enumerate() {
-            let next = w.next_issue_cycle(&self.kernel);
+            let IssueState {
+                at,
+                pc,
+                is_mem,
+                is_load,
+            } = w.issue_state(&self.kernel);
             // Warp i's thread block is handed to the SM at i × skew.
             let launch = i as Cycle * skew;
-            if let Some(at) = wake_after(next, launch, now) {
-                scan.wake = Some(scan.wake.map_or(at, |c| c.min(at)));
+            if let Some(wake) = wake_after(at, launch, now) {
+                scan.wake = Some(scan.wake.map_or(wake, |c| c.min(wake)));
             }
-            if next.is_none_or(|at| at > now) {
-                continue; // cannot issue yet
+            if at > now {
+                continue; // cannot issue yet (`Cycle::MAX`: not knowable)
             }
-            let Some(instr) = w.current(&self.kernel) else {
-                continue;
-            };
-            let is_mem = instr.op.is_mem();
-            let is_load = instr.op.is_load();
             if is_mem && ((is_load && !lsu_room) || (!is_load && !store_room)) {
                 scan.lsu_full = true;
                 continue; // structural hazard
@@ -499,7 +499,7 @@ impl Sm {
                 id: WarpId(i as u32),
                 next_is_mem: is_mem,
                 next_is_load: is_load,
-                next_pc: instr.pc,
+                next_pc: pc,
             });
         }
         scan
@@ -512,7 +512,7 @@ impl Sm {
     }
 
     fn complete_load(&mut self, warp: WarpId, body_idx: usize, iter: u64, ready: Cycle) {
-        self.warps[warp.index()].complete_load(body_idx, iter, ready);
+        self.warps[warp.index()].complete_load(&self.kernel, body_idx, iter, ready);
         self.energy.regfile_accesses += 1; // writeback
     }
 
@@ -590,7 +590,7 @@ impl Sm {
             }
             let waiting_on = if w.at_barrier() {
                 StallReason::Barrier
-            } else if w.blocked_on_load(&self.kernel, now) {
+            } else if w.blocked_on_load(&self.kernel) {
                 StallReason::PendingLoad
             } else if w.can_issue(&self.kernel, now) {
                 StallReason::NeverScheduled
@@ -645,7 +645,7 @@ impl Sm {
             .iter()
             .enumerate()
             .filter_map(|(i, w)| {
-                wake_after(w.next_issue_cycle(&self.kernel), i as Cycle * skew, now)
+                wake_after(w.issue_state(&self.kernel).at, i as Cycle * skew, now)
             })
             .min()
     }

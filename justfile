@@ -53,6 +53,12 @@ serve-smoke:
 perf-gate:
     cargo run --release -p apres-bench --bin perf_trajectory -- --fast --check > /dev/null
 
+# Interleaved perfbench A/B pairs of a base revision against the working
+# tree: per-pair change/base ratios of one metric and their median; fails
+# if any run is incorrect or has failed operations (scripts/perf_ab.sh).
+perf-ab base="HEAD" workload="apres-mix" metric="sim_cycles_per_s":
+    bash scripts/perf_ab.sh {{base}} {{workload}} {{metric}}
+
 # Regenerate the measured-performance trajectory after intentional
 # performance work: writes the next BENCH_<n>.json for review/check-in.
 perf-record:
