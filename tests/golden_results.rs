@@ -13,13 +13,18 @@
 //! paper's baseline LRR, GTO, MASCAR, CCWS+STR and APRES = LAWS+SAP) at
 //! 2 SMs of the paper geometry, plus runs that exercise the MSHR retry
 //! path under injected MSHR-exhaustion bursts, under the L1 bypass
-//! predictor, and under dual issue with block-launch skew.
+//! predictor, and under dual issue with block-launch skew, and the three
+//! ways a run can end besides draining cleanly: draining under delayed DRAM
+//! responses, exhausting its cycle budget, and a watchdog timeout.
 
 // Integration tests may use the ergonomic panicking forms freely.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use apres::common::{content_hash_str, hash_hex};
 use apres::sm::codec;
-use apres::{Benchmark, FaultPlan, GpuConfig, PrefetcherChoice, SchedulerChoice, Simulation};
+use apres::{
+    Benchmark, FaultPlan, GpuConfig, PrefetcherChoice, RunResult, SchedulerChoice, SimError,
+    Simulation, Termination,
+};
 
 const GOLDEN: &str = include_str!("golden_results.txt");
 
@@ -39,7 +44,11 @@ fn digest(sim: Simulation) -> String {
         .run()
         .expect("golden runs complete");
     assert!(r.termination.is_drained(), "{} did not drain", r.kernel);
-    hash_hex(content_hash_str(&codec::encode(&r).to_compact()))
+    result_digest(&r)
+}
+
+fn result_digest(r: &RunResult) -> String {
+    hash_hex(content_hash_str(&codec::encode(r).to_compact()))
 }
 
 /// Compares freshly computed `(label, digest)` rows against the rows of
@@ -124,6 +133,46 @@ fn retry_path_variants_match_golden() {
         (
             "KM GTO dual-issue-skew".to_owned(),
             digest(km().config(dual).scheduler(SchedulerChoice::Gto)),
+        ),
+    ]);
+}
+
+#[test]
+fn end_of_run_paths_match_golden() {
+    let km = || Simulation::new(Benchmark::Km.kernel_scaled(ITERS)).config(cfg());
+    let delayed = km()
+        .apres()
+        .fault_plan(
+            FaultPlan::seeded(3)
+                .delaying_dram_responses(0.5, 400)
+                .exhausting_mshrs(128, 8),
+        )
+        .max_cycles(5_000_000)
+        .run()
+        .expect("delayed responses still drain");
+    assert!(delayed.termination.is_drained());
+    assert!(delayed.faults.total() > 0, "faults must actually fire");
+    let budget = km().max_cycles(700).run().expect("budget is not an error");
+    assert_eq!(
+        budget.termination,
+        Termination::BudgetExhausted { budget: 700 }
+    );
+    let err = km()
+        .fault_plan(FaultPlan::seeded(5).dropping_dram_responses(1.0))
+        .watchdog(2_000)
+        .max_cycles(5_000_000)
+        .run()
+        .expect_err("a fully dropped memory system cannot drain");
+    assert!(matches!(err, SimError::WatchdogTimeout { .. }), "{err:?}");
+    check(&[
+        (
+            "KM LAWS+SAP delayed-dram-mshr-faults".to_owned(),
+            result_digest(&delayed),
+        ),
+        ("KM LRR budget-700".to_owned(), result_digest(&budget)),
+        (
+            "KM LRR watchdog-2000".to_owned(),
+            hash_hex(content_hash_str(&format!("{err:?}"))),
         ),
     ]);
 }
