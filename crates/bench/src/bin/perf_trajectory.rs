@@ -1,7 +1,8 @@
 //! Measured-performance trajectory: times a pinned simulation sub-suite
-//! in both [`StepMode`]s and under the epoch engine at 2 and 4 worker
-//! threads, and records the result as a `BENCH_<n>.json` checkpoint
-//! (rebar-style measurement methodology; see METHODOLOGY.md).
+//! with the plain cycle loop ([`Gpu::run`]) and with pipeline tracing on
+//! SM 0 ([`Gpu::run_traced`]), and records the result as a
+//! `BENCH_<n>.json` checkpoint (rebar-style measurement methodology; see
+//! METHODOLOGY.md).
 //!
 //! ```text
 //! cargo run --release -p apres-bench --bin perf_trajectory -- [--fast|--tiny]
@@ -11,29 +12,29 @@
 //! * default — measure and print the trajectory without writing anything;
 //! * `--write` — measure and write the next `BENCH_<n>.json` in the
 //!   current directory;
-//! * `--check` — measure and compare the skip/tick speedup against the
+//! * `--check` — measure and compare the plain/traced ratio against the
 //!   newest checked-in `BENCH_*.json`; exits 1 on a >10% regression
 //!   (`just perf-gate`);
 //! * `--dry-run` — print the pinned suite and exit without reading the
 //!   clock at all (the `bench_smoke.sh` smoke path: no timing figures,
 //!   so output is byte-comparable across runs).
 //!
-//! The regression gate compares *ratios*, not absolute rates: absolute
-//! cycles/s depends on the host machine, while the skip/tick speedup and
-//! the epoch-engine/serial speedup are properties of the engine
-//! (METHODOLOGY.md). The epoch ratio is gated only when the newest
-//! checked-in trajectory records one (older checkpoints predate the
-//! epoch engine).
+//! The regression gate compares a *same-process ratio*, not absolute
+//! rates: absolute cycles/s depends on the host machine and its load,
+//! while the plain/traced time ratio is a property of the code. Each rep
+//! times every entry both ways back to back, alternating which goes
+//! first, so host noise lands on both sides of that rep's ratio; the gate
+//! reads the median over reps (METHODOLOGY.md).
 
-use apres_bench::{simulation_for, BenchArgs, Combo, Scale, StageTimer, APRES, BASELINE};
+use apres_bench::{BenchArgs, Combo, Scale, StageTimer, APRES, BASELINE};
+use apres_core::sim::DEFAULT_MAX_CYCLES;
 use gpu_common::json::{parse, Json};
-use gpu_sm::StepMode;
+use gpu_sm::Gpu;
 use gpu_workloads::Benchmark;
 
 /// One pinned suite entry; `hi_lat` applies the latency-stress config
-/// (ample MSHRs, 600-cycle DRAM) where skip-ahead has long silent spans
-/// to reclaim — at baseline geometry the MSHR-retry path does observable
-/// work almost every cycle, so there is little to skip (METHODOLOGY.md).
+/// (ample MSHRs, 600-cycle DRAM), where warps wait on long misses rather
+/// than on MSHR retries.
 struct Entry {
     bench: Benchmark,
     combo: Combo,
@@ -56,26 +57,16 @@ const SUITE: [Entry; 6] = [
     entry(Benchmark::Spmv, BASELINE, true),
 ];
 
-/// Maximum tolerated regression of the skip/tick speedup ratio.
+/// Maximum tolerated regression of the plain/traced ratio.
 const GATE_TOLERANCE: f64 = 0.10;
 
-/// Maximum tolerated regression of the epoch(2)/serial speedup ratio.
-/// Wider than [`GATE_TOLERANCE`]: the epoch engine's worker threads
-/// time-slice the container's single hardware core, so its ratio's
-/// run-to-run spread is ~±10% (observed 0.52x–0.63x around a recorded
-/// 0.60x) where skip/tick — two serial runs in one process — stays
-/// within ±5%. The gate still catches structural regressions (a
-/// barrier turning quadratic halves the ratio) without flaking on
-/// scheduler noise.
-const EPOCH_GATE_TOLERANCE: f64 = 0.25;
+/// Trajectory file format version (bumped on schema change; v3 replaced
+/// the step-mode and engine runs of v2 with plain vs traced runs).
+const FORMAT_VERSION: u64 = 3;
 
-/// Trajectory file format version (bumped on schema change; v2 added the
-/// `parallel` engine measurements and `speedup_epoch2_over_serial`).
-const FORMAT_VERSION: u64 = 2;
-
-/// Epoch-engine thread counts measured per trajectory (tick mode; the
-/// first is the gated one).
-const PARALLEL_THREADS: [usize; 2] = [2, 4];
+/// Trace buffer size of the traced runs. The buffer keeps the newest
+/// events, so recording costs the same per event at any size.
+const TRACE_CAPACITY: usize = 4096;
 
 enum Action {
     Measure,
@@ -86,7 +77,7 @@ enum Action {
 
 fn main() {
     let mut action = Action::Measure;
-    let mut reps: u64 = 3;
+    let mut reps: u64 = 5;
     // Split our own flags off before handing the rest to the shared
     // parser (which rejects unknown flags).
     let mut rest: Vec<String> = Vec::new();
@@ -138,73 +129,47 @@ fn main() {
     }
 }
 
-/// One mode's aggregate measurement.
-struct ModeRun {
-    mode: StepMode,
-    /// Per-suite-entry best-of-`reps` seconds, parallel to [`SUITE`].
-    seconds: Vec<f64>,
-    /// Simulated cycles per entry (identical across modes by contract).
-    cycles: Vec<u64>,
-}
-
-impl ModeRun {
-    fn total_seconds(&self) -> f64 {
-        self.seconds.iter().sum()
-    }
-
-    fn cycles_per_sec(&self) -> f64 {
-        let secs = self.total_seconds();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.cycles.iter().sum::<u64>() as f64 / secs
-    }
-
-    fn sims_per_sec(&self) -> f64 {
-        let secs = self.total_seconds();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        SUITE.len() as f64 / secs
-    }
-}
-
-/// One epoch-engine measurement (tick mode at a fixed thread count).
-struct EngineRun {
-    threads: usize,
-    run: ModeRun,
-}
-
+/// Every timing of one measurement, indexed `[entry][rep]` like [`SUITE`].
 struct Trajectory {
     scale: Scale,
     reps: u64,
-    tick: ModeRun,
-    skip: ModeRun,
-    /// Epoch-engine runs, parallel to [`PARALLEL_THREADS`].
-    parallel: Vec<EngineRun>,
+    /// Simulated cycles per entry (identical plain and traced).
+    cycles: Vec<u64>,
+    plain: Vec<Vec<f64>>,
+    traced: Vec<Vec<f64>>,
 }
 
 impl Trajectory {
-    /// Skip-ahead throughput relative to tick mode (the gated quantity).
-    fn speedup(&self) -> f64 {
-        ratio(self.tick.total_seconds(), self.skip.total_seconds())
+    /// Per rep: the suite's plain seconds over its traced seconds.
+    fn rep_ratios(&self) -> Vec<f64> {
+        (0..self.reps as usize)
+            .map(|rep| {
+                let plain: f64 = self.plain.iter().map(|t| t[rep]).sum();
+                let traced: f64 = self.traced.iter().map(|t| t[rep]).sum();
+                if traced <= 0.0 {
+                    0.0
+                } else {
+                    plain / traced
+                }
+            })
+            .collect()
     }
 
-    /// Epoch-engine throughput at `threads` relative to the serial
-    /// tick-mode run (the second gated quantity, at 2 threads).
-    fn epoch_speedup(&self, threads: usize) -> Option<f64> {
-        self.parallel
-            .iter()
-            .find(|e| e.threads == threads)
-            .map(|e| ratio(self.tick.total_seconds(), e.run.total_seconds()))
+    /// Median per-rep plain/traced ratio (the gated quantity).
+    fn ratio(&self) -> f64 {
+        median(&self.rep_ratios())
     }
 }
 
-fn ratio(baseline_secs: f64, secs: f64) -> f64 {
-    if secs <= 0.0 {
-        0.0
+/// Median of a non-empty sample (mean of the middle two when even).
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len().is_multiple_of(2) {
+        (v[mid - 1] + v[mid]) / 2.0
     } else {
-        baseline_secs / secs
+        v[mid]
     }
 }
 
@@ -220,10 +185,9 @@ fn suite_label(e: &Entry) -> String {
 /// Prints the pinned suite without ever reading the clock.
 fn dry_run(args: &BenchArgs, reps: u64) {
     println!(
-        "perf_trajectory dry run: {} suite entries x (2 step modes + {} epoch-engine \
-         thread counts) at {} scale, best of {} rep(s)",
+        "perf_trajectory dry run: {} suite entries x (plain + traced on SM 0) \
+         at {} scale, median of {} rep(s)",
         SUITE.len(),
-        PARALLEL_THREADS.len(),
         args.scale.label(),
         reps
     );
@@ -233,92 +197,75 @@ fn dry_run(args: &BenchArgs, reps: u64) {
     println!("no simulations were run and no clock was read");
 }
 
-/// Measures the pinned suite in both modes: one untimed warmup run, then
-/// best-of-`reps` wall-clock per (entry, mode), serially (worker-count
-/// jitter would contaminate the measurement; METHODOLOGY.md).
+/// Measures the pinned suite: one untimed warmup run, then `reps` reps,
+/// each timing every entry plain and traced back to back, serially
+/// (worker-count jitter would contaminate the measurement;
+/// METHODOLOGY.md).
 fn measure(args: &BenchArgs, reps: u64) -> Trajectory {
     let timer = StageTimer::new(false);
     // Warmup: first allocation/page-cache effects land on an untimed run.
-    run_entry(&SUITE[0], args.scale, StepMode::Tick, 0);
-    let mut runs = Vec::new();
-    for mode in [StepMode::Tick, StepMode::SkipAhead] {
-        runs.push(measure_suite(&timer, args.scale, reps, mode, 0, &mode.to_string()));
-    }
-    let skip = runs.pop().expect("two modes measured");
-    let tick = runs.pop().expect("two modes measured");
-    assert_eq!(
-        tick.cycles, skip.cycles,
-        "step modes must simulate identical cycle counts"
-    );
-    let parallel = PARALLEL_THREADS
-        .iter()
-        .map(|&threads| {
-            let run = measure_suite(
-                &timer,
-                args.scale,
-                reps,
-                StepMode::Tick,
-                threads,
-                &format!("epoch({threads})"),
-            );
+    run_entry(&SUITE[0], args.scale, false);
+    let mut t = Trajectory {
+        scale: args.scale,
+        reps,
+        cycles: vec![0; SUITE.len()],
+        plain: vec![Vec::new(); SUITE.len()],
+        traced: vec![Vec::new(); SUITE.len()],
+    };
+    for rep in 0..reps as usize {
+        for (i, entry) in SUITE.iter().enumerate() {
+            let traced_first = (rep + i) % 2 == 1;
+            let mut cycles = [0; 2];
+            for traced in [traced_first, !traced_first] {
+                let start = timer.start();
+                cycles[usize::from(traced)] = run_entry(entry, args.scale, traced);
+                let secs = timer
+                    .seconds_since(start)
+                    .expect("timer is armed outside --dry-run");
+                if traced {
+                    t.traced[i].push(secs);
+                } else {
+                    t.plain[i].push(secs);
+                }
+            }
             assert_eq!(
-                tick.cycles, run.cycles,
-                "engines must simulate identical cycle counts"
+                cycles[0], cycles[1],
+                "tracing must not change the simulated cycle count"
             );
-            EngineRun { threads, run }
-        })
-        .collect();
-    Trajectory { scale: args.scale, reps, tick, skip, parallel }
-}
-
-/// Times the whole suite once for one (mode, engine) combination:
-/// best-of-`reps` wall-clock per entry.
-fn measure_suite(
-    timer: &StageTimer,
-    scale: Scale,
-    reps: u64,
-    mode: StepMode,
-    sim_threads: usize,
-    label: &str,
-) -> ModeRun {
-    let mut seconds = Vec::new();
-    let mut cycles = Vec::new();
-    for entry in &SUITE {
-        let mut best = f64::INFINITY;
-        let mut simulated = 0;
-        for _ in 0..reps {
-            let start = timer.start();
-            simulated = run_entry(entry, scale, mode, sim_threads);
-            let elapsed = timer
-                .seconds_since(start)
-                .expect("timer is armed outside --dry-run");
-            best = best.min(elapsed);
+            t.cycles[i] = cycles[0];
+            eprintln!(
+                "[perf] rep {rep} {} plain {:.3}s traced {:.3}s ({} cycles)",
+                suite_label(entry),
+                t.plain[i][rep],
+                t.traced[i][rep],
+                cycles[0]
+            );
         }
-        eprintln!(
-            "[perf] {} {} {:.3}s ({} cycles)",
-            label,
-            suite_label(entry),
-            best,
-            simulated
-        );
-        seconds.push(best);
-        cycles.push(simulated);
     }
-    ModeRun { mode, seconds, cycles }
+    t
 }
 
-/// Runs one suite entry to completion, returning simulated cycles.
-fn run_entry(entry: &Entry, scale: Scale, mode: StepMode, sim_threads: usize) -> u64 {
+/// Runs one suite entry to completion, plain or traced, returning
+/// simulated cycles.
+fn run_entry(entry: &Entry, scale: Scale, traced: bool) -> u64 {
     let mut cfg = scale.config();
     if entry.hi_lat {
         cfg.l1.mshrs = 256;
         cfg.l1.mshr_merge_slots = 16;
         cfg.dram.latency = 600;
     }
-    let sim = simulation_for(entry.bench, entry.combo, scale, &cfg)
-        .step_mode(mode)
-        .sim_threads(sim_threads);
-    match sim.run() {
+    let Combo { sched, pf } = entry.combo;
+    let kernel = entry.bench.kernel_scaled(scale.iterations(entry.bench));
+    let outcome =
+        Gpu::new(&cfg, kernel, &|_| sched.make(&cfg), &|_| pf.make(&cfg)).and_then(|gpu| {
+            if traced {
+                gpu.run_traced(DEFAULT_MAX_CYCLES, 0, TRACE_CAPACITY)
+                    .map(|(r, _)| r)
+            } else {
+                gpu.run(DEFAULT_MAX_CYCLES)
+            }
+        });
+    match outcome {
         Ok(r) => r.cycles,
         Err(e) => {
             eprintln!("fatal: {} failed: [{}] {e}", suite_label(entry), e.class());
@@ -327,12 +274,19 @@ fn run_entry(entry: &Entry, scale: Scale, mode: StepMode, sim_threads: usize) ->
     }
 }
 
-fn mode_json(run: &ModeRun) -> Json {
+/// One side's per-entry median seconds and the suite totals they imply.
+fn side_json(t: &Trajectory, times: &[Vec<f64>]) -> Json {
+    let medians: Vec<f64> = times.iter().map(|reps| median(reps)).collect();
+    let seconds: f64 = medians.iter().sum();
+    let cycles: u64 = t.cycles.iter().sum();
+    let cycles_per_sec = if seconds > 0.0 {
+        cycles as f64 / seconds
+    } else {
+        0.0
+    };
     Json::Obj(vec![
-        ("mode".into(), Json::str(run.mode.label())),
-        ("seconds".into(), Json::from_f64(run.total_seconds())),
-        ("sims_per_sec".into(), Json::from_f64(run.sims_per_sec())),
-        ("cycles_per_sec".into(), Json::from_f64(run.cycles_per_sec())),
+        ("seconds".into(), Json::from_f64(seconds)),
+        ("cycles_per_sec".into(), Json::from_f64(cycles_per_sec)),
         (
             "exhibits".into(),
             Json::Arr(
@@ -342,8 +296,8 @@ fn mode_json(run: &ModeRun) -> Json {
                     .map(|(i, entry)| {
                         Json::Obj(vec![
                             ("name".into(), Json::str(suite_label(entry))),
-                            ("seconds".into(), Json::from_f64(run.seconds[i])),
-                            ("cycles".into(), Json::from_u64(run.cycles[i])),
+                            ("seconds".into(), Json::from_f64(medians[i])),
+                            ("cycles".into(), Json::from_u64(t.cycles[i])),
                         ])
                     })
                     .collect(),
@@ -353,33 +307,19 @@ fn mode_json(run: &ModeRun) -> Json {
 }
 
 fn render(t: &Trajectory) -> String {
-    let parallel = t
-        .parallel
-        .iter()
-        .map(|e| {
-            let Json::Obj(mut fields) = mode_json(&e.run) else {
-                unreachable!("mode_json returns an object");
-            };
-            fields[0] = ("sim_threads".into(), Json::from_u64(e.threads as u64));
-            fields.push((
-                "speedup_over_serial".into(),
-                Json::from_f64(ratio(t.tick.total_seconds(), e.run.total_seconds())),
-            ));
-            Json::Obj(fields)
-        })
-        .collect();
+    let ratios = t.rep_ratios();
+    let min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = ratios.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let doc = Json::Obj(vec![
         ("format".into(), Json::from_u64(FORMAT_VERSION)),
         ("tool".into(), Json::str("perf_trajectory")),
         ("scale".into(), Json::str(t.scale.label())),
         ("reps".into(), Json::from_u64(t.reps)),
-        ("modes".into(), Json::Arr(vec![mode_json(&t.tick), mode_json(&t.skip)])),
-        ("speedup_skip_over_tick".into(), Json::from_f64(t.speedup())),
-        ("parallel".into(), Json::Arr(parallel)),
-        (
-            "speedup_epoch2_over_serial".into(),
-            Json::from_f64(t.epoch_speedup(2).unwrap_or(0.0)),
-        ),
+        ("plain".into(), side_json(t, &t.plain)),
+        ("traced".into(), side_json(t, &t.traced)),
+        ("plain_over_traced".into(), Json::from_f64(t.ratio())),
+        ("plain_over_traced_min".into(), Json::from_f64(min)),
+        ("plain_over_traced_max".into(), Json::from_f64(max)),
     ]);
     let mut text = doc.to_pretty();
     text.push('\n');
@@ -431,50 +371,22 @@ fn check_gate(t: &Trajectory) {
         eprintln!("perf-gate: no BENCH_*.json trajectory to compare against");
         std::process::exit(1);
     };
-    let Some(recorded) = doc.get("speedup_skip_over_tick").and_then(Json::as_f64) else {
-        eprintln!("perf-gate: BENCH_{n:04}.json lacks speedup_skip_over_tick");
+    let Some(recorded) = doc.get("plain_over_traced").and_then(Json::as_f64) else {
+        eprintln!("perf-gate: BENCH_{n:04}.json lacks plain_over_traced");
         std::process::exit(1);
     };
-    let current = t.speedup();
+    let current = t.ratio();
     let floor = recorded * (1.0 - GATE_TOLERANCE);
     if current < floor {
         eprintln!(
-            "perf-gate: FAIL — skip/tick speedup {current:.2}x regressed more than \
-             {:.0}% below the recorded {recorded:.2}x (BENCH_{n:04}.json floor {floor:.2}x)",
+            "perf-gate: FAIL — plain/traced ratio {current:.3} regressed more than \
+             {:.0}% below the recorded {recorded:.3} (BENCH_{n:04}.json floor {floor:.3})",
             GATE_TOLERANCE * 100.0
         );
         std::process::exit(1);
     }
     eprintln!(
-        "perf-gate: OK — skip/tick speedup {current:.2}x vs recorded {recorded:.2}x \
-         (BENCH_{n:04}.json, floor {floor:.2}x)"
-    );
-    // The epoch-engine ratio is gated only against trajectories that
-    // record one (BENCH_0001 and older predate the epoch engine).
-    let Some(recorded_epoch) = doc.get("speedup_epoch2_over_serial").and_then(Json::as_f64)
-    else {
-        eprintln!(
-            "perf-gate: note — BENCH_{n:04}.json predates the epoch engine; \
-             parallel ratio not gated"
-        );
-        return;
-    };
-    let Some(current_epoch) = t.epoch_speedup(2) else {
-        eprintln!("perf-gate: FAIL — no epoch(2) measurement to compare");
-        std::process::exit(1);
-    };
-    let epoch_floor = recorded_epoch * (1.0 - EPOCH_GATE_TOLERANCE);
-    if current_epoch < epoch_floor {
-        eprintln!(
-            "perf-gate: FAIL — epoch(2)/serial speedup {current_epoch:.2}x regressed \
-             more than {:.0}% below the recorded {recorded_epoch:.2}x \
-             (BENCH_{n:04}.json floor {epoch_floor:.2}x)",
-            EPOCH_GATE_TOLERANCE * 100.0
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "perf-gate: OK — epoch(2)/serial speedup {current_epoch:.2}x vs recorded \
-         {recorded_epoch:.2}x (BENCH_{n:04}.json, floor {epoch_floor:.2}x)"
+        "perf-gate: OK — plain/traced ratio {current:.3} vs recorded {recorded:.3} \
+         (BENCH_{n:04}.json, floor {floor:.3})"
     );
 }

@@ -51,10 +51,9 @@ pub struct IssueState {
     /// scoreboard alone; `Cycle::MAX` when no such cycle is knowable from
     /// warp-local state: the warp is finished, blocked at a barrier, or a
     /// dependency is an in-flight load, whose completion is an external
-    /// event (the memory system's fill delivery covers it). The SM's
-    /// skip-ahead and wake rails read this field: when the warp cannot
-    /// issue at `now` but `at` is finite, cycles in `now..at` are provably
-    /// silent for it.
+    /// event (the memory system's fill delivery covers it). A parked SM
+    /// wakes on this field: when the warp cannot issue at `now` but `at`
+    /// is finite, it cannot issue before `at`.
     pub at: Cycle,
     /// PC of the current instruction (`Pc(0)` once finished).
     pub pc: Pc,

@@ -92,9 +92,8 @@ pub struct Scoreboard { slots: std::sync::Mutex<Vec<u64>> }
             expect_rule: Some("shared-mut"),
             expect_line: 2,
         },
-        // Channels are shared-mut in sim crates everywhere except the
-        // epoch barrier (crates/sm/src/epoch.rs), whose waivers are
-        // counted and pinned by tests/workspace_lint.rs.
+        // Channels are shared-mut in sim crates; a waiver comment
+        // suppresses the finding like any other rule's.
         Fixture {
             name: "shared-mut-channel-in-sim",
             path: "crates/mem/src/fixture.rs",
@@ -105,7 +104,7 @@ pub struct FillPath { tx: std::sync::mpsc::Sender<u64> }
             expect_line: 2,
         },
         Fixture {
-            name: "shared-mut-channel-epoch-waiver",
+            name: "shared-mut-channel-waiver",
             path: "crates/sm/src/fixture.rs",
             source: r#"
 type Tx<T> = std::sync::mpsc::Sender<T>; // lint: allow(shared-mut)

@@ -1,7 +1,7 @@
 //! `apres-lint` — workspace determinism & concurrency static analysis.
 //!
-//! ROADMAP item 1 (epoch-parallel multi-SM simulation) is only viable if
-//! the simulator's byte-identical-output guarantee survives threading,
+//! The golden digests, the result cache and the `--jobs` invariance of
+//! every exhibit rest on the simulator's byte-identical-output guarantee,
 //! and that guarantee dies quietly: a `HashMap` iteration here, a raw
 //! `Instant::now()` there, and the output starts depending on
 //! `RandomState` or the wall clock instead of the seed. This crate is
@@ -21,8 +21,8 @@
 //!   `derive_seed`/an explicit seed;
 //! * `float-ord` — partial orders (`partial_cmp`) where total orders
 //!   are required;
-//! * `shared-mut` — `static mut` anywhere; locks and `Relaxed` atomics
-//!   in simulator crates;
+//! * `shared-mut` — `static mut` anywhere; locks, `Relaxed` atomics and
+//!   channels in simulator crates;
 //! * `panic-path` — panicking escape hatches on the audited critical
 //!   paths (supersedes the old grep-based integration test).
 //!

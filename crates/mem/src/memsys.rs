@@ -1,9 +1,9 @@
 //! The assembled off-core memory system: interconnect, L2 banks, DRAM.
 //!
-//! One [`MemorySystem`] is shared by all SMs. Each cycle the owner calls
-//! [`MemorySystem::tick`]; SMs push L1 misses in with
-//! [`MemorySystem::submit`] and collect matured line fills with
-//! [`MemorySystem::drain_fills`].
+//! One [`MemorySystem`] is shared by all SMs. Each cycle the owner pushes
+//! the SMs' L1 misses in with [`MemorySystem::submit`], calls
+//! [`MemorySystem::tick`], and moves every response now in flight toward
+//! an SM out with [`MemorySystem::take_fills`].
 //!
 //! The system keeps a request-conservation ledger: every non-store request
 //! accepted by [`MemorySystem::submit`] must eventually come back as exactly
@@ -177,19 +177,11 @@ impl MemorySystem {
             * self.cfg.l1.line_bytes;
     }
 
-    /// Collects line fills that have arrived back at `sm` by `now`.
-    pub fn drain_fills(&mut self, sm: usize, now: Cycle) -> Vec<MemRequest> {
-        self.from_l2
-            .get_mut(sm)
-            .map(|pipe| pipe.pop_ready(now, usize::MAX))
-            .unwrap_or_default()
-    }
-
     /// Removes every in-flight response bound for `sm`, returning each fill
-    /// with the cycle at which it completes NoC traversal (FIFO order).
-    /// Engines that hand fills to per-SM inboxes call this after
-    /// [`MemorySystem::tick`]; the receiver must respect the ready cycles to
-    /// preserve [`MemorySystem::drain_fills`] semantics.
+    /// with the cycle at which it completes NoC traversal (FIFO order, ready
+    /// cycles non-decreasing). The cycle loop calls this after
+    /// [`MemorySystem::tick`] and queues the fills in the SM's inbox; the
+    /// SM must not see a fill before its ready cycle.
     pub fn take_fills(&mut self, sm: usize) -> Vec<(Cycle, MemRequest)> {
         self.from_l2
             .get_mut(sm)
@@ -197,17 +189,9 @@ impl MemorySystem {
             .unwrap_or_default()
     }
 
-    /// Records a completed demand load's round-trip latency (called by the
-    /// SM when it wakes the warp).
-    pub fn note_load_latency(&mut self, latency: Cycle) {
-        self.stats.total_load_latency += latency;
-        self.stats.completed_loads += 1;
-    }
-
-    /// Folds in a batch of completed-load latencies accumulated elsewhere
-    /// (the per-SM ports of the epoch engine). Pure sums, so the merge is
-    /// order-independent and byte-identical to per-load
-    /// [`MemorySystem::note_load_latency`] calls.
+    /// Folds in `count` completed demand loads whose round-trip latencies
+    /// sum to `total`, as accumulated by an SM's port since the last flush.
+    /// Pure sums, so the flush order cannot change the statistics.
     pub fn add_load_latencies(&mut self, total: Cycle, count: u64) {
         self.stats.total_load_latency += total;
         self.stats.completed_loads += count;
@@ -300,42 +284,6 @@ impl MemorySystem {
             && self.banks.iter().all(L2Bank::is_idle)
             && self.delayed.is_empty()
     }
-
-    /// Earliest future cycle at which [`MemorySystem::tick`] does observable
-    /// work, or `None` when the whole off-core system is idle: the minimum
-    /// over request-pipe arrivals at the L2, response-pipe arrivals at the
-    /// SMs, per-bank events (retries, matured responses, DRAM services) and
-    /// fault-delayed response releases. May be conservative (early) — an
-    /// early wake-up ticks harmlessly — but never late.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut fold = |c: Option<Cycle>| {
-            if let Some(c) = c {
-                let c = c.max(now);
-                next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-            }
-        };
-        for pipe in &self.to_l2 {
-            fold(pipe.next_ready());
-        }
-        for pipe in &self.from_l2 {
-            fold(pipe.next_ready());
-        }
-        for bank in &self.banks {
-            fold(bank.next_event(now));
-        }
-        fold(self.delayed.first_key_value().map(|(&(at, _), _)| at));
-        next
-    }
-
-    /// Compensates per-cycle accounting (DRAM queue-occupancy integrals)
-    /// for `delta` skipped cycles. Must only be called over spans where
-    /// [`MemorySystem::tick`] would have done no observable work.
-    pub fn note_skipped(&mut self, delta: Cycle) {
-        for bank in &mut self.banks {
-            bank.note_skipped(delta);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -351,15 +299,33 @@ mod tests {
         MemRequest::load(LineAddr(line), SmId(sm), WarpId(0), Pc(0), 0, 0, 0)
     }
 
+    /// One SM's inbox in miniature: holds the fills
+    /// [`MemorySystem::take_fills`] hands over until their ready cycle.
+    #[derive(Default)]
+    struct Inbox(Vec<(Cycle, MemRequest)>);
+
+    impl Inbox {
+        /// Takes `sm`'s new fills and returns every held fill ready by `now`.
+        fn drain(&mut self, ms: &mut MemorySystem, sm: usize, now: Cycle) -> Vec<MemRequest> {
+            self.0.extend(ms.take_fills(sm));
+            let (ready, later) = std::mem::take(&mut self.0)
+                .into_iter()
+                .partition(|&(at, _)| at <= now);
+            self.0 = later;
+            ready.into_iter().map(|(_, req)| req).collect()
+        }
+    }
+
     #[test]
     fn round_trip_latency() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
+        let mut inbox = Inbox::default();
         ms.submit(0, load(1, 0), 0);
         let mut arrival = None;
         for now in 0..3000 {
             ms.tick(now);
-            let fills = ms.drain_fills(0, now);
+            let fills = inbox.drain(&mut ms, 0, now);
             if !fills.is_empty() {
                 arrival = Some(now);
                 assert_eq!(fills[0].line, LineAddr(1));
@@ -388,11 +354,12 @@ mod tests {
     fn l2_hit_is_faster() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
+        let mut inbox = Inbox::default();
         ms.submit(0, load(1, 0), 0);
         let mut now = 0;
         loop {
             ms.tick(now);
-            if !ms.drain_fills(0, now).is_empty() {
+            if !inbox.drain(&mut ms, 0, now).is_empty() {
                 break;
             }
             now += 1;
@@ -404,7 +371,7 @@ mod tests {
         loop {
             now += 1;
             ms.tick(now);
-            if !ms.drain_fills(0, now).is_empty() {
+            if !inbox.drain(&mut ms, 0, now).is_empty() {
                 break;
             }
             assert!(now < 3000);
@@ -440,13 +407,14 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.core.num_sms = 2;
         let mut ms = MemorySystem::new(&cfg).unwrap();
+        let mut inboxes = [Inbox::default(), Inbox::default()];
         ms.submit(0, load(1, 0), 0);
         ms.submit(1, load(2, 1), 0);
         let mut got = [false; 2];
         for now in 0..3000 {
             ms.tick(now);
-            for (sm, seen) in got.iter_mut().enumerate() {
-                for f in ms.drain_fills(sm, now) {
+            for (sm, (seen, inbox)) in got.iter_mut().zip(&mut inboxes).enumerate() {
+                for f in inbox.drain(&mut ms, sm, now) {
                     assert_eq!(f.sm.index(), sm);
                     *seen = true;
                 }
@@ -456,51 +424,11 @@ mod tests {
     }
 
     #[test]
-    fn next_event_never_overshoots_a_fill() {
-        // Tick the system to completion, recording every cycle at which a
-        // fill arrives; then replay with skip-ahead over next_event() and
-        // check the same arrival cycle is observed.
-        let cfg = small_cfg();
-        let mut ticked = MemorySystem::new(&cfg).unwrap();
-        ticked.submit(0, load(1, 0), 0);
-        let mut tick_arrival = None;
-        for now in 0..3000 {
-            ticked.tick(now);
-            if !ticked.drain_fills(0, now).is_empty() {
-                tick_arrival = Some(now);
-                break;
-            }
-        }
-        let mut skipped = MemorySystem::new(&cfg).unwrap();
-        skipped.submit(0, load(1, 0), 0);
-        let mut now = 0;
-        let mut skip_arrival = None;
-        let mut iterations = 0;
-        while now < 3000 {
-            skipped.tick(now);
-            if !skipped.drain_fills(0, now).is_empty() {
-                skip_arrival = Some(now);
-                break;
-            }
-            let next = skipped.next_event(now + 1).unwrap_or(now + 1);
-            assert!(next > now, "next_event must make progress");
-            if next > now + 1 {
-                skipped.note_skipped(next - now - 1);
-            }
-            now = next;
-            iterations += 1;
-            assert!(iterations < 200, "skip loop failed to converge");
-        }
-        assert_eq!(skip_arrival, tick_arrival, "skip-ahead must not miss the fill");
-        assert!(iterations < 50, "skip-ahead barely skipped: {iterations} steps");
-    }
-
-    #[test]
     fn latency_accounting() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
-        ms.note_load_latency(100);
-        ms.note_load_latency(300);
+        ms.add_load_latencies(100, 1);
+        ms.add_load_latencies(300, 1);
         assert!((ms.stats().avg_load_latency() - 200.0).abs() < 1e-12);
     }
 
@@ -508,11 +436,15 @@ mod tests {
     fn store_generates_dram_write_traffic() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
+        let mut inbox = Inbox::default();
         let st = MemRequest::store(LineAddr(1), SmId(0), WarpId(0), Pc(0), 0);
         ms.submit(0, st, 0);
         for now in 0..600 {
             ms.tick(now);
-            assert!(ms.drain_fills(0, now).is_empty(), "stores never respond");
+            assert!(
+                inbox.drain(&mut ms, 0, now).is_empty(),
+                "stores never respond"
+            );
         }
         assert_eq!(ms.dram_accesses(), 1);
         assert_eq!(ms.stats().bytes_to_sm, 0);
@@ -525,11 +457,15 @@ mod tests {
     fn dropped_response_never_arrives_but_audit_balances() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
+        let mut inbox = Inbox::default();
         ms.set_fault_state(FaultPlan::seeded(1).dropping_dram_responses(1.0).state(0));
         ms.submit(0, load(1, 0), 0);
         for now in 0..2000 {
             ms.tick(now);
-            assert!(ms.drain_fills(0, now).is_empty(), "response was dropped");
+            assert!(
+                inbox.drain(&mut ms, 0, now).is_empty(),
+                "response was dropped"
+            );
         }
         assert!(ms.is_idle());
         assert_eq!(ms.fault_counters().dropped_responses, 1);
@@ -541,6 +477,7 @@ mod tests {
     fn delayed_response_arrives_late() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
+        let mut inbox = Inbox::default();
         ms.set_fault_state(
             FaultPlan::seeded(2)
                 .delaying_dram_responses(1.0, 500)
@@ -550,7 +487,7 @@ mod tests {
         let mut arrival = None;
         for now in 0..3000 {
             ms.tick(now);
-            if !ms.drain_fills(0, now).is_empty() {
+            if !inbox.drain(&mut ms, 0, now).is_empty() {
                 arrival = Some(now);
                 break;
             }
@@ -566,11 +503,12 @@ mod tests {
     fn dropped_noc_request_is_accounted() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
+        let mut inbox = Inbox::default();
         ms.set_fault_state(FaultPlan::seeded(3).dropping_noc_requests(1.0).state(0));
         ms.submit(0, load(1, 0), 0);
         for now in 0..1000 {
             ms.tick(now);
-            assert!(ms.drain_fills(0, now).is_empty());
+            assert!(inbox.drain(&mut ms, 0, now).is_empty());
         }
         assert_eq!(ms.fault_counters().dropped_requests, 1);
         assert_eq!(ms.submitted(), 1);

@@ -2,21 +2,19 @@
 //!
 //! An [`SmPort`] is the only conduit for cross-boundary traffic: the SM
 //! pushes outgoing L1 misses/stores/prefetches into the outbox and pops
-//! matured line fills from the inbox; the cycle engine (serial or epoch,
-//! see [`crate::epoch`]) drains the outbox into the shared
-//! [`gpu_mem::memsys::MemorySystem`] in fixed SM-id order and re-homes
-//! responses into the inbox with their NoC-ready cycles intact. Because
-//! every entry is cycle-stamped, replaying a port's traffic at a barrier
-//! reproduces the exact interleaving of the serial engine — this is what
-//! makes epoch-parallel runs byte-identical to serial ones.
+//! matured line fills from the inbox; [`crate::gpu::Gpu::step`] drains the
+//! outbox into the shared [`gpu_mem::memsys::MemorySystem`] in fixed SM-id
+//! order and re-homes responses into the inbox with their NoC-ready cycles
+//! intact. The cycle stamps let a caller that owns the memory system drive
+//! one SM's traffic by hand (the per-layer timing of `perfbench` does), and
+//! the inbox's front ready cycle is what wakes a parked SM.
 
 use gpu_common::Cycle;
 use gpu_mem::request::MemRequest;
 use std::collections::VecDeque;
 
 /// Per-SM message queues decoupling the SM core from the shared memory
-/// system. Owned by the cycle engine alongside its [`crate::sm::Sm`]; the
-/// pair travels together when an epoch worker takes ownership of a shard.
+/// system. Owned by the cycle loop alongside its [`crate::sm::Sm`].
 #[derive(Debug, Default)]
 pub struct SmPort {
     /// Matured responses en route to the SM, `(ready_cycle, fill)` in FIFO
@@ -39,8 +37,7 @@ impl SmPort {
 
     // --- SM side -----------------------------------------------------
 
-    /// Pops every fill whose NoC traversal has completed by `now`
-    /// (mirrors [`gpu_mem::memsys::MemorySystem::drain_fills`]).
+    /// Pops every fill whose NoC traversal has completed by `now`.
     pub fn drain_fills(&mut self, now: Cycle) -> Vec<MemRequest> {
         let mut out = Vec::new();
         while let Some(&(ready, _)) = self.inbox.front() {
@@ -64,7 +61,7 @@ impl SmPort {
     }
 
     /// Accumulates one completed demand load's round-trip latency (flushed
-    /// into [`gpu_common::stats::MemStats`]-equivalent sums at the barrier).
+    /// into [`gpu_common::stats::MemStats`] once per cycle).
     pub fn note_load_latency(&mut self, latency: Cycle) {
         self.latency_total += latency;
         self.latency_count += 1;
@@ -82,8 +79,8 @@ impl SmPort {
         self.inbox.push_back((ready, req));
     }
 
-    /// Takes the whole outbox for barrier replay (submission order, cycle
-    /// stamps non-decreasing).
+    /// Takes the whole outbox for routing (submission order, cycle stamps
+    /// non-decreasing).
     pub fn take_outbox(&mut self) -> Vec<(Cycle, MemRequest)> {
         std::mem::take(&mut self.outbox)
     }
@@ -98,14 +95,9 @@ impl SmPort {
     }
 
     /// Earliest cycle at which a queued fill becomes visible to the SM
-    /// (a rail of the skip-ahead lattice).
+    /// (what wakes a parked SM).
     pub fn next_fill_ready(&self) -> Option<Cycle> {
         self.inbox.front().map(|&(r, _)| r)
-    }
-
-    /// `true` when no fill is queued for the SM.
-    pub fn inbox_is_empty(&self) -> bool {
-        self.inbox.is_empty()
     }
 
     /// `true` when nothing sits on either side of the boundary.
@@ -133,7 +125,7 @@ mod tests {
         assert!(p.drain_fills(4).is_empty());
         let ready: Vec<_> = p.drain_fills(5).iter().map(|r| r.line).collect();
         assert_eq!(ready, vec![LineAddr(1), LineAddr(2)]);
-        assert!(!p.inbox_is_empty());
+        assert_eq!(p.next_fill_ready(), Some(9));
         assert_eq!(p.drain_fills(9).len(), 1);
         assert!(p.is_idle());
     }

@@ -47,9 +47,10 @@ serve-smoke:
     bash scripts/serve_smoke.sh
 
 # Measured-performance regression gate: re-times the pinned suite of
-# perf_trajectory in both step modes and fails if the skip/tick speedup
-# ratio regressed >10% vs the newest checked-in BENCH_*.json (the ratio,
-# not absolute rates, so the gate is machine-portable; METHODOLOGY.md).
+# perf_trajectory plain and traced (SM 0), alternating which runs first
+# in each rep, and fails if the median per-rep plain/traced time ratio
+# fell >10% below the newest checked-in BENCH_*.json (a same-process
+# ratio, not absolute rates, so host load cancels out; METHODOLOGY.md).
 perf-gate:
     cargo run --release -p apres-bench --bin perf_trajectory -- --fast --check > /dev/null
 
