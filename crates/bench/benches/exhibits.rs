@@ -6,7 +6,7 @@
 //! Plain `fn main` harness (`harness = false`); see `simulator.rs` for the
 //! measurement scheme.
 
-use apres_bench::{run_with_config, Combo, APRES, BASELINE, CCWS_STR};
+use apres_bench::{Combo, JobSpec, Scale, APRES, BASELINE, CCWS_STR};
 use apres_core::energy::EnergyModel;
 use apres_core::hw_cost::HwCost;
 use apres_core::sim::{PrefetcherChoice, SchedulerChoice};
@@ -41,7 +41,8 @@ fn tiny_cfg() -> GpuConfig {
 }
 
 fn tiny_run(b: Benchmark, combo: Combo) -> RunResult {
-    run_with_config(b, combo, apres_bench::Scale::Fast, &tiny_cfg())
+    JobSpec::new(b, combo, Scale::Fast, &tiny_cfg())
+        .run()
         .expect("tiny exhibit point runs")
 }
 
@@ -62,13 +63,9 @@ fn main() {
         let small = tiny_run(Benchmark::Spmv, BASELINE);
         let mut huge_cfg = tiny_cfg();
         huge_cfg.l1.capacity_bytes = 32 * 1024 * 1024;
-        let huge = run_with_config(
-            Benchmark::Spmv,
-            BASELINE,
-            apres_bench::Scale::Fast,
-            &huge_cfg,
-        )
-        .expect("huge-L1 point runs");
+        let huge = JobSpec::new(Benchmark::Spmv, BASELINE, Scale::Fast, &huge_cfg)
+            .run()
+            .expect("huge-L1 point runs");
         black_box(huge.speedup_over(&small));
     });
 

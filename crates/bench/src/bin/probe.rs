@@ -9,7 +9,7 @@
 //! values (and to assert no timing figure leaks anywhere).
 
 use apres_bench::{
-    map_parallel, report_outcome, try_run_with_config, BenchArgs, StageTimer, APRES, BASELINE,
+    map_parallel, report_outcome, BenchArgs, JobSpec, StageTimer, APRES, BASELINE,
 };
 use gpu_workloads::Benchmark;
 
@@ -19,13 +19,13 @@ fn main() {
     let timer = StageTimer::from_args(&args);
     let started = timer.start();
     let timed = map_parallel(args.jobs, Benchmark::ALL.to_vec(), |_, b| {
-        let t0 = timer.start();
-        let base = try_run_with_config(b, BASELINE, scale, &scale.config());
-        let t1 = timer.label_since(t0);
-        let t0 = timer.start();
-        let apres = try_run_with_config(b, APRES, scale, &scale.config());
-        let t2 = timer.label_since(t0);
-        (b, base, t1, apres, t2)
+        let [base, apres] = [BASELINE, APRES].map(|combo| {
+            let spec = JobSpec::new(b, combo, scale, &scale.config());
+            let t0 = timer.start();
+            let outcome = spec.run();
+            (spec.label(), outcome, timer.label_since(t0))
+        });
+        (b, base, apres)
     });
     eprintln!(
         "[probe] {} sims in {}s on {} worker(s)",
@@ -37,9 +37,9 @@ fn main() {
         "{:<6} {:>10} {:>7} {:>6} {:>7} | {:>10} {:>7} {:>8} {:>7}",
         "bench", "base_cyc", "ipc", "miss", "sec", "apres_cyc", "ipc", "speedup", "sec"
     );
-    for (b, base, t1, apres, t2) in timed {
-        let base = report_outcome(&format!("{}/{}", b.label(), BASELINE.label()), base);
-        let apres = report_outcome(&format!("{}/{}", b.label(), APRES.label()), apres);
+    for (b, (base_label, base, t1), (apres_label, apres, t2)) in timed {
+        let base = report_outcome(&base_label, base);
+        let apres = report_outcome(&apres_label, apres);
         let (Some(base), Some(apres)) = (base, apres) else {
             continue;
         };

@@ -24,6 +24,11 @@
 //! caller recomputes. Writes go through a temp file in the same directory
 //! followed by an atomic rename, so a crashed writer can leave a stale
 //! temp file but never a half-written entry under a live entry name.
+//!
+//! [`run_cached`] is the one cache step of every job path: the bench
+//! harness's [`crate::SimSweep`] and the batch service both route each job
+//! through it, so lookup, eviction, store and their [`CacheCounters`]
+//! accounting exist once.
 
 use crate::{Combo, Scale};
 use apres_core::sim::{PrefetcherChoice, SchedulerChoice, Simulation};
@@ -34,6 +39,7 @@ use gpu_common::{SimError, SimResult};
 use gpu_sm::RunResult;
 use gpu_workloads::Benchmark;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Version tag baked into every canonical spec string and cache entry.
 /// Bump it when the spec canonicalisation, the result codec, or the entry
@@ -129,7 +135,14 @@ impl JobSpec {
         hash_hex(self.hash())
     }
 
-    /// Runs the simulation this spec describes.
+    /// `BENCH/SCHED` or `BENCH/SCHED+PF`: how stderr diagnostics and batch
+    /// responses name the job.
+    pub fn label(&self) -> String {
+        format!("{}/{}", self.bench.label(), Combo::new(self.sched, self.pf).label())
+    }
+
+    /// Runs the simulation this spec describes — the only place a job's
+    /// (benchmark, policy, scale, config, seed) becomes a [`Simulation`].
     ///
     /// # Errors
     ///
@@ -325,9 +338,11 @@ impl ResultCache {
     }
 
     /// Persists a result for a spec: temp file in the cache directory,
-    /// then atomic rename over the entry name. A concurrent writer of the
-    /// same spec writes identical bytes (determinism), so last-rename-wins
-    /// is harmless.
+    /// then atomic rename over the entry name. Every write gets its own
+    /// temp name (process id plus a process-wide sequence number), so
+    /// concurrent writers of one spec — worker threads or processes —
+    /// never rename each other's temp file away; they write identical
+    /// bytes (determinism), so whichever rename lands last is the entry.
     ///
     /// # Errors
     ///
@@ -346,10 +361,12 @@ impl ResultCache {
         let mut text = entry.to_pretty();
         text.push('\n');
         let final_path = self.entry_path(spec);
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let tmp_path = self.dir.join(format!(
-            ".tmp-{}-{}",
+            ".tmp-{}-{}-{}",
             spec.hash_hex(),
-            std::process::id()
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&tmp_path, &text)?;
         match std::fs::rename(&tmp_path, &final_path) {
@@ -426,6 +443,89 @@ impl ResultCache {
         let _ = std::fs::remove_file(path);
         Lookup::Corrupt { detail }
     }
+}
+
+/// Worker-shared cache traffic counters (relaxed ordering: totals only).
+#[derive(Debug, Default)]
+pub struct CacheCounters {
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    evicted: AtomicUsize,
+    store_failures: AtomicUsize,
+}
+
+impl CacheCounters {
+    /// The totals counted so far.
+    pub fn summary(&self) -> CacheSummary {
+        CacheSummary {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evicted: self.evicted.load(Ordering::Relaxed),
+            store_failures: self.store_failures.load(Ordering::Relaxed),
+        }
+    }
+
+    fn bump(counter: &AtomicUsize) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Cache traffic of one sweep or batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheSummary {
+    /// Jobs served from a verified cache entry without recomputation.
+    pub hits: usize,
+    /// Jobs computed because no entry existed.
+    pub misses: usize,
+    /// Entries that failed verification and were evicted (then recomputed).
+    pub evicted: usize,
+    /// Results that computed fine but could not be persisted.
+    pub store_failures: usize,
+}
+
+/// The cache step of one job: a verified [`ResultCache::lookup`] serves a
+/// hit; a miss or an evicted entry runs `compute` and stores its result.
+/// Every outcome is counted in `counters`; an eviction and a failed store
+/// are warned about on stderr and never fail the job. Without a cache this
+/// is just `compute`.
+pub fn run_cached(
+    cache: Option<&ResultCache>,
+    spec: &JobSpec,
+    counters: &CacheCounters,
+    compute: impl FnOnce() -> SimResult<RunResult>,
+) -> SimResult<RunResult> {
+    let Some(cache) = cache else {
+        return compute();
+    };
+    match cache.lookup(spec) {
+        Lookup::Hit(result) => {
+            CacheCounters::bump(&counters.hits);
+            return Ok(*result);
+        }
+        Lookup::Miss => CacheCounters::bump(&counters.misses),
+        Lookup::Corrupt { detail } => {
+            CacheCounters::bump(&counters.evicted);
+            eprintln!(
+                "warning: evicted corrupt cache entry for job {}: {}",
+                spec.hash_hex(),
+                SimError::CacheCorruption {
+                    spec_hash: spec.hash(),
+                    detail,
+                }
+            );
+        }
+    }
+    let outcome = compute();
+    if let Ok(result) = &outcome {
+        if let Err(e) = cache.store(spec, result) {
+            CacheCounters::bump(&counters.store_failures);
+            eprintln!(
+                "warning: could not store cache entry for job {}: {e}",
+                spec.hash_hex()
+            );
+        }
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -558,6 +658,32 @@ mod tests {
         std::fs::copy(cache.entry_path(&spec), cache.entry_path(&other)).expect("copy");
         assert!(matches!(cache.lookup(&other), Lookup::Corrupt { .. }));
         // The original entry is untouched and still verifies.
+        assert!(matches!(cache.lookup(&spec), Lookup::Hit(_)));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_spec_all_succeed() {
+        // Two workers storing the same spec at once must not rename each
+        // other's temp file away: every store succeeds and the entry
+        // verifies.
+        let cache = ResultCache::open(tmp_dir("concurrent")).expect("open");
+        let spec = tiny_spec();
+        let result = spec.run().expect("tiny run");
+        let failures = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        if cache.store(&spec, &result).is_err() {
+                            failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(failures.load(Ordering::Relaxed), 0, "of 400 stores");
+        assert_eq!(cache.len(), 1);
         assert!(matches!(cache.lookup(&spec), Lookup::Hit(_)));
         let _ = std::fs::remove_dir_all(cache.dir());
     }

@@ -5,6 +5,10 @@
 //! scoped-thread worker pool while guaranteeing that the output is
 //! *byte-identical* to a serial run:
 //!
+//! * **Jobs are specs.** Each point is a [`JobSpec`] plus a stderr label;
+//!   a worker runs [`JobSpec::run`] — the same description the result
+//!   cache keys on and `apres-serve` receives, so what is cached is
+//!   exactly what runs.
 //! * **Submission-order aggregation.** Jobs are enqueued first
 //!   ([`SimSweep::add`] returns a [`JobId`]), executed in whatever order
 //!   the worker pool reaches them, and collected into a results vector
@@ -12,33 +16,32 @@
 //!   [`JobId`], so stdout never depends on thread scheduling. The
 //!   crash-safe stderr diagnostics ([`crate::report_outcome`]) are also
 //!   replayed in submission order, after all jobs finish.
-//! * **Index-derived seeds.** Each job's [`JobCtx::seed`] is
-//!   `derive_seed(base, index)` ([`gpu_common::rng::derive_seed`]) — a pure
+//! * **Index-derived seeds.** Under `--seed S`
+//!   ([`SimSweep::reseed_from`]) job `i` runs its spec with seed
+//!   `derive_seed(S, i)` ([`gpu_common::rng::derive_seed`]) — a pure
 //!   function of the job's submission index, never of the worker that ran
-//!   it. Under `--seed S` the standard jobs re-seed their kernels with it;
-//!   custom jobs ([`SimSweep::add_fn`]) may use it for any per-job
-//!   randomness.
+//!   it.
 //! * **Failure isolation.** A job's typed [`gpu_common::error::SimError`]
 //!   is captured, not
 //!   propagated: the data point becomes `None` (skipped, reported on
-//!   stderr with its error class) and the rest of the sweep is unaffected,
-//!   exactly like the serial crash-safe runner. A job that *panics* is
-//!   isolated the same way: each job runs under `catch_unwind`, the panic
-//!   becomes a typed `InvariantViolation` naming the job index and the
-//!   panic payload, and the worker thread survives to run the next job.
+//!   stderr with its error class) and the rest of the sweep is unaffected.
+//!   A job that *panics* is isolated the same way ([`isolate_panic`]): the
+//!   panic becomes a typed `InvariantViolation` naming the job index and
+//!   the panic payload, and the worker thread survives to run the next job.
 //! * **Verified result caching.** With `--cache DIR`
-//!   ([`SimSweep::with_cache`]), each standard point's [`JobSpec`] is
-//!   content-hashed; stored entries are served after re-verifying the
-//!   payload hash on every read ([`crate::cache`]), so re-running an
-//!   exhibit recomputes only jobs whose spec changed. Cache traffic is
-//!   summarised on stderr and in [`SweepResults::cache`].
+//!   ([`SimSweep::with_cache`]), each job goes through
+//!   [`crate::cache::run_cached`], the cache step `apres-serve` shares:
+//!   stored entries are served after re-verifying the payload hash on
+//!   every read, so re-running an exhibit recomputes only jobs whose spec
+//!   changed. Cache traffic is summarised on stderr and in
+//!   [`SweepResults::cache`].
 //!
 //! Progress (jobs done, sims/sec, aggregate simulated cycles/sec) is
 //! reported live on stderr when it is a terminal, and always as one final
 //! summary line — stdout stays clean for the exhibit tables, which is what
 //! `just bench-smoke` byte-compares across `--jobs` values.
 
-use crate::cache::{JobSpec, Lookup, ResultCache};
+use crate::cache::{run_cached, CacheCounters, CacheSummary, JobSpec, ResultCache};
 use crate::{report_outcome, Combo, Scale};
 use gpu_common::clock::{Clock, WallClock};
 use gpu_common::config::GpuConfig;
@@ -52,42 +55,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Default base seed for per-job derivation when `--seed` is absent
-/// (jobs then keep their kernels' built-in seeds; the derived stream is
-/// still available to custom jobs).
-pub const DEFAULT_BASE_SEED: u64 = 0xA9E5;
-
-/// Per-job context handed to every job closure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobCtx {
-    /// Submission index of this job (0-based, dense).
-    pub index: usize,
-    /// Total jobs in the sweep.
-    pub total: usize,
-    /// Seed derived from `(base seed, index)` — identical for this job at
-    /// any `--jobs` value, so using it never breaks reproducibility.
-    pub seed: u64,
-    /// Whether `--seed` was given: standard jobs re-seed their kernels
-    /// with [`JobCtx::seed`] when set.
-    pub reseed: bool,
-}
-
 /// Handle to one enqueued job; redeem against [`SweepResults::get`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobId(usize);
 
-type SimJobFn = Box<dyn FnOnce(&JobCtx) -> SimResult<RunResult> + Send>;
-
 /// A batch of independent simulations, executed by [`SimSweep::run`].
 pub struct SimSweep {
     name: String,
-    labels: Vec<String>,
-    jobs: Vec<SimJobFn>,
-    /// Parallel to `jobs`: the cacheable spec of each standard point
-    /// (`None` for [`SimSweep::add_fn`] customs, which the cache skips).
-    specs: Vec<Option<JobSpec>>,
-    seeds: SeedStream,
-    reseed: bool,
+    /// Enqueued points in submission order: stderr label and spec.
+    jobs: Vec<(String, JobSpec)>,
+    /// `--seed`: job `i` runs with `seeds.seed(i)` as its workload seed.
+    reseed: Option<SeedStream>,
     cache: Option<ResultCache>,
     /// `--no-time`: suppress wall-clock figures in the stderr summary so
     /// runs are byte-comparable end to end (stdout already is).
@@ -99,11 +77,8 @@ impl SimSweep {
     pub fn new(name: impl Into<String>) -> Self {
         SimSweep {
             name: name.into(),
-            labels: Vec::new(),
             jobs: Vec::new(),
-            specs: Vec::new(),
-            seeds: SeedStream::new(DEFAULT_BASE_SEED),
-            reseed: false,
+            reseed: None,
             cache: None,
             no_time: false,
         }
@@ -128,20 +103,18 @@ impl SimSweep {
         sweep
     }
 
-    /// Attaches a verified result cache: standard points whose spec is
-    /// already stored are served from disk (every read re-verifies the
-    /// payload hash); misses and evicted entries are recomputed and
-    /// stored. Custom [`SimSweep::add_fn`] jobs always run.
+    /// Attaches a verified result cache: points whose spec is already
+    /// stored are served from disk (every read re-verifies the payload
+    /// hash); misses and evicted entries are recomputed and stored.
     pub fn with_cache(mut self, cache: ResultCache) -> Self {
         self.cache = Some(cache);
         self
     }
 
-    /// Enables seed-perturbation mode: every standard job re-seeds its
-    /// kernel with `derive_seed(base, job_index)`.
+    /// Enables seed-perturbation mode: every job re-seeds its kernel with
+    /// `derive_seed(base, job_index)`.
     pub fn reseed_from(mut self, base_seed: u64) -> Self {
-        self.seeds = SeedStream::new(base_seed);
-        self.reseed = true;
+        self.reseed = Some(SeedStream::new(base_seed));
         self
     }
 
@@ -158,8 +131,8 @@ impl SimSweep {
         scale: Scale,
         cfg: &GpuConfig,
     ) -> JobId {
-        let label = format!("{}/{}", bench.label(), combo.label());
-        self.add_labeled(label, bench, combo, scale, cfg)
+        let spec = JobSpec::new(bench, combo, scale, cfg);
+        self.push(spec.label(), spec)
     }
 
     /// Enqueues one point with an explicit configuration *and* a custom
@@ -173,34 +146,12 @@ impl SimSweep {
         scale: Scale,
         cfg: &GpuConfig,
     ) -> JobId {
-        let spec = JobSpec::new(bench, combo, scale, cfg);
-        let cfg = cfg.clone();
-        let id = self.add_fn(label, move |ctx| {
-            let mut sim = crate::simulation_for(bench, combo, scale, &cfg);
-            if ctx.reseed {
-                sim = sim.workload_seed(ctx.seed);
-            }
-            sim.run()
-        });
-        // Standard points are cacheable; record the spec alongside the job
-        // (the per-job seed is folded in at run time, when it is known).
-        self.specs[id.0] = Some(spec);
-        id
+        self.push(label.into(), JobSpec::new(bench, combo, scale, cfg))
     }
 
-    /// Enqueues a custom job; `label` names the point in stderr
-    /// diagnostics. The closure runs on a worker thread and must capture
-    /// everything it needs by value.
-    pub fn add_fn(
-        &mut self,
-        label: impl Into<String>,
-        f: impl FnOnce(&JobCtx) -> SimResult<RunResult> + Send + 'static,
-    ) -> JobId {
-        let id = JobId(self.jobs.len());
-        self.labels.push(label.into());
-        self.jobs.push(Box::new(f));
-        self.specs.push(None);
-        id
+    fn push(&mut self, label: String, spec: JobSpec) -> JobId {
+        self.jobs.push((label, spec));
+        JobId(self.jobs.len() - 1)
     }
 
     /// Number of enqueued jobs.
@@ -218,35 +169,39 @@ impl SimSweep {
     /// worker count. Per-job failures are reported on stderr (in
     /// submission order) and become `None` data points.
     pub fn run(self, jobs: usize) -> SweepResults {
+        self.run_with(jobs, JobSpec::run)
+    }
+
+    /// [`SimSweep::run`] with the compute step of a job passed in (tests
+    /// pass one that panics to exercise isolation).
+    fn run_with(
+        self,
+        jobs: usize,
+        compute: impl Fn(&JobSpec) -> SimResult<RunResult> + Sync,
+    ) -> SweepResults {
         let SimSweep {
             name,
-            labels,
-            jobs: tasks,
-            specs,
-            seeds,
+            jobs: points,
             reseed,
             cache,
             no_time,
         } = self;
-        let total = tasks.len();
         // Sweep elapsed feeds only stderr (TTY repaints + summary), never
         // stdout. lint: allow(wall-clock)
         let started = Instant::now();
-        let progress = Progress::new(&name, total, jobs, no_time);
+        let progress = Progress::new(&name, points.len(), jobs, no_time);
         let counters = CacheCounters::default();
-        let items: Vec<(SimJobFn, Option<JobSpec>)> =
-            tasks.into_iter().zip(specs).collect();
-        let outcomes = run_ordered(jobs, items, |index, (task, spec)| {
-            let ctx = JobCtx {
-                index,
-                total,
-                seed: seeds.seed(index as u64),
-                reseed,
+        let (labels, specs): (Vec<String>, Vec<JobSpec>) = points.into_iter().unzip();
+        let outcomes = run_ordered(jobs, specs, |index, spec| {
+            // Fold the per-job seed into the spec before the cache step,
+            // so the cache key describes the job exactly as it runs.
+            let spec = match &reseed {
+                Some(seeds) => spec.with_seed(seeds.seed(index as u64)),
+                None => spec,
             };
-            // The cache key must describe the job exactly as it will run,
-            // so fold the per-job seed in under `--seed`.
-            let spec = spec.map(|s| if reseed { s.with_seed(ctx.seed) } else { s });
-            let outcome = run_one(&ctx, task, spec.as_ref(), cache.as_ref(), &counters);
+            let outcome = run_cached(cache.as_ref(), &spec, &counters, || {
+                isolate_panic(index, || compute(&spec))
+            });
             progress.on_done(&outcome);
             outcome
         });
@@ -281,104 +236,27 @@ impl SimSweep {
     }
 }
 
-/// Executes one job: verified cache lookup, panic-isolated compute, store.
-fn run_one(
-    ctx: &JobCtx,
-    task: SimJobFn,
-    spec: Option<&JobSpec>,
-    cache: Option<&ResultCache>,
-    counters: &CacheCounters,
-) -> SimResult<RunResult> {
-    if let (Some(cache), Some(spec)) = (cache, spec) {
-        match cache.lookup(spec) {
-            Lookup::Hit(result) => {
-                counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(*result);
-            }
-            Lookup::Miss => {
-                counters.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            Lookup::Corrupt { detail } => {
-                counters.evicted.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "warning: evicted corrupt cache entry for job {}: {detail}",
-                    spec.hash_hex()
-                );
-            }
-        }
-    }
-    let outcome = catch_sim_panic(ctx.index, move || task(ctx));
-    if let (Some(cache), Some(spec), Ok(result)) = (cache, spec, &outcome) {
-        if let Err(e) = cache.store(spec, result) {
-            counters.store_failures.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "warning: could not store cache entry for job {}: {e}",
-                spec.hash_hex()
-            );
-        }
-    }
-    outcome
-}
-
-/// Runs a job closure with panic isolation: a panicking job becomes a
-/// typed [`SimError::InvariantViolation`] naming the job index and the
-/// panic payload, and the rest of the sweep is unaffected — a worker
-/// thread never dies mid-sweep.
-fn catch_sim_panic(
+/// Runs one job with panic isolation: a panicking job becomes a typed
+/// [`SimError::InvariantViolation`] naming the job index and the panic
+/// payload, so a worker thread never dies mid-sweep or mid-batch. Both
+/// [`SimSweep`] and the batch service isolate every job through it.
+pub fn isolate_panic(
     index: usize,
     f: impl FnOnce() -> SimResult<RunResult>,
 ) -> SimResult<RunResult> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(outcome) => outcome,
-        Err(payload) => Err(SimError::invariant(
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        // The two payload shapes the standard panic machinery produces.
+        let message = payload
+            .downcast_ref::<&'static str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-string panic payload>");
+        Err(SimError::invariant(
             "worker-panic",
-            format!("job {index} panicked: {}", panic_payload_str(payload.as_ref())),
+            format!("job {index} panicked: {message}"),
             0,
-        )),
-    }
-}
-
-/// Best-effort extraction of a panic payload's message (the two shapes the
-/// standard panic machinery produces, else a placeholder).
-fn panic_payload_str(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&'static str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("<non-string panic payload>")
-}
-
-/// Worker-shared cache traffic counters.
-#[derive(Default)]
-struct CacheCounters {
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    evicted: AtomicUsize,
-    store_failures: AtomicUsize,
-}
-
-impl CacheCounters {
-    fn summary(&self) -> CacheSummary {
-        CacheSummary {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            store_failures: self.store_failures.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Cache traffic of one sweep run (present when a cache was attached).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheSummary {
-    /// Jobs served from a verified cache entry without recomputation.
-    pub hits: usize,
-    /// Jobs computed because no entry existed.
-    pub misses: usize,
-    /// Entries that failed verification and were evicted (then recomputed).
-    pub evicted: usize,
-    /// Results that computed fine but could not be persisted.
-    pub store_failures: usize,
+        ))
+    })
 }
 
 /// Results of a sweep, indexed by the [`JobId`]s handed out at enqueue
@@ -689,7 +567,7 @@ mod tests {
 
     #[test]
     fn job_seeds_depend_on_index_not_worker() {
-        let seeds = SeedStream::new(DEFAULT_BASE_SEED);
+        let seeds = SeedStream::new(0xA9E5);
         let a: Vec<u64> = map_parallel(1, (0..16).collect(), |i, _: u64| seeds.seed(i as u64));
         let b: Vec<u64> = map_parallel(5, (0..16).collect(), |i, _: u64| seeds.seed(i as u64));
         assert_eq!(a, b);
@@ -752,14 +630,17 @@ mod tests {
     fn panicking_job_is_isolated_as_typed_error() {
         let mut sweep = SimSweep::new("test");
         let ok_before = sweep.add(Benchmark::Hs, BASELINE, Scale::Tiny);
-        let boom = sweep.add_fn("boom", |_| {
-            std::panic::panic_any("synthetic job panic".to_string());
-        });
+        let boom = sweep.add(Benchmark::Bp, BASELINE, Scale::Tiny);
         let ok_after = sweep.add(Benchmark::Km, BASELINE, Scale::Tiny);
         // Quiet the default panic hook for the intentional panic.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let r = sweep.run(2);
+        let r = sweep.run_with(2, |spec| {
+            if spec.bench == Benchmark::Bp {
+                std::panic::panic_any("synthetic job panic".to_string());
+            }
+            spec.run()
+        });
         std::panic::set_hook(hook);
         // The panic became a skipped point; its neighbours are unharmed.
         assert!(r.get(boom).is_none());
@@ -770,12 +651,50 @@ mod tests {
 
     #[test]
     fn panic_payload_and_index_are_reported() {
-        let err = catch_sim_panic(7, || std::panic::panic_any("kaboom".to_string()))
+        let err = isolate_panic(7, || std::panic::panic_any("kaboom".to_string()))
             .expect_err("panic must become an error");
         assert_eq!(err.class(), "invariant-violation");
         let text = err.to_string();
         assert!(text.contains("job 7"), "{text}");
         assert!(text.contains("kaboom"), "{text}");
+    }
+
+    #[test]
+    fn sweep_points_equal_the_run_of_their_cached_spec() {
+        // The cache is only sound if a point's result is exactly
+        // `JobSpec::run` of the spec it is stored under — without `--seed`
+        // and with the index-derived seed folded in under it.
+        let dir = std::env::temp_dir().join(format!(
+            "apres-harness-spec-invariant-test-{}",
+            std::process::id()
+        ));
+        let points = [(Benchmark::Km, BASELINE), (Benchmark::Hs, crate::APRES)];
+        for reseed in [None, Some(11u64)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let cache = ResultCache::open(&dir).expect("open cache");
+            let mut sweep = SimSweep::new("test").with_cache(cache.clone());
+            if let Some(base) = reseed {
+                sweep = sweep.reseed_from(base);
+            }
+            let ids: Vec<JobId> = points
+                .iter()
+                .map(|&(b, combo)| sweep.add(b, combo, Scale::Tiny))
+                .collect();
+            let r = sweep.run(2);
+            for (i, (&(b, combo), id)) in points.iter().zip(&ids).enumerate() {
+                let mut spec = JobSpec::new(b, combo, Scale::Tiny, &Scale::Tiny.config());
+                if let Some(base) = reseed {
+                    spec = spec.with_seed(gpu_common::rng::derive_seed(base, i as u64));
+                }
+                let point = r.get(*id).expect("point ran");
+                assert_eq!(*point, spec.run().expect("spec runs"), "{reseed:?} job {i}");
+                match cache.lookup(&spec) {
+                    crate::Lookup::Hit(cached) => assert_eq!(*cached, *point),
+                    other => panic!("job {i} not cached under its spec: {other:?}"),
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -835,23 +754,5 @@ mod tests {
         assert_eq!(c7b.hits, 1);
         assert_eq!(r7b, r7);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn custom_jobs_see_ctx() {
-        let mut sweep = SimSweep::new("test");
-        let id = sweep.add_fn("custom", |ctx| {
-            assert_eq!(ctx.total, 1);
-            assert_eq!(ctx.index, 0);
-            assert!(!ctx.reseed);
-            crate::try_run_with_config(
-                Benchmark::Hs,
-                BASELINE,
-                Scale::Tiny,
-                &Scale::Tiny.config(),
-            )
-        });
-        let r = sweep.run(1);
-        assert!(r.get(id).is_some());
     }
 }

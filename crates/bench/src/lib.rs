@@ -30,16 +30,18 @@
 //! this). Command lines parse through [`cli::BenchArgs`]; tables print
 //! through [`emit_table`], which also writes `--csv`/`--json` copies.
 //!
-//! All data points go through the crash-safe [`run`] /
-//! [`run_with_config`] entry points or their harness equivalents: a point
-//! whose simulation fails with a typed [`SimError`] (invalid geometry,
+//! Every data point is a [`JobSpec`] — benchmark, policy, scale, config
+//! and seed — and [`JobSpec::run`] is the one place a spec becomes a
+//! simulation. Outcomes pass through the crash-safe [`report_outcome`]: a
+//! point whose simulation fails with a typed
+//! [`SimError`](gpu_common::error::SimError) (invalid geometry,
 //! watchdog-diagnosed deadlock, …) is reported on stderr and skipped, so
 //! one bad point never aborts a whole sweep. Points that exhausted their
 //! cycle budget instead of draining are flagged on stderr too.
 
-use apres_core::sim::{PrefetcherChoice, SchedulerChoice, Simulation};
+use apres_core::sim::{PrefetcherChoice, SchedulerChoice};
 use gpu_common::config::GpuConfig;
-use gpu_common::error::{SimError, SimResult};
+use gpu_common::error::SimResult;
 use gpu_common::json::Json;
 use gpu_sm::RunResult;
 use gpu_workloads::Benchmark;
@@ -48,10 +50,10 @@ pub mod cache;
 pub mod cli;
 pub mod harness;
 
-pub use cache::{JobSpec, Lookup, ResultCache, CACHE_FORMAT_VERSION};
+pub use cache::{CacheSummary, JobSpec, Lookup, ResultCache, CACHE_FORMAT_VERSION};
 pub use cli::BenchArgs;
 pub use harness::{
-    map_parallel, CacheSummary, JobCtx, JobId, SimSweep, StageStart, StageTimer, SweepResults,
+    isolate_panic, map_parallel, JobId, SimSweep, StageStart, StageTimer, SweepResults,
 };
 
 /// Resolves a benchmark label (case-insensitive) or exits with the known
@@ -112,19 +114,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `--fast` / `--tiny` from the process arguments (prefer
-    /// [`cli::BenchArgs::parse`], which also validates the rest of the
-    /// command line).
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--tiny") {
-            Scale::Tiny
-        } else if std::env::args().any(|a| a == "--fast") {
-            Scale::Fast
-        } else {
-            Scale::Paper
-        }
-    }
-
     /// Lower-case scale name (cache canonicalisation, job specs on the
     /// wire): `"paper"`, `"fast"`, `"tiny"`.
     pub fn label(self) -> &'static str {
@@ -163,50 +152,6 @@ impl Scale {
     }
 }
 
-/// Runs one benchmark under one policy combination, crash-safe: a typed
-/// simulation failure is reported on stderr and yields `None` so sweeps
-/// skip the point instead of aborting.
-pub fn run(bench: Benchmark, combo: Combo, scale: Scale) -> Option<RunResult> {
-    run_with_config(bench, combo, scale, &scale.config())
-}
-
-/// Crash-safe variant of [`try_run_with_config`] (Fig. 2 uses a 32 MB L1).
-pub fn run_with_config(
-    bench: Benchmark,
-    combo: Combo,
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> Option<RunResult> {
-    let label = format!("{}/{}", bench.label(), combo.label());
-    report_outcome(&label, try_run_with_config(bench, combo, scale, cfg))
-}
-
-/// Runs one data point, propagating any [`SimError`] to the caller.
-pub fn try_run_with_config(
-    bench: Benchmark,
-    combo: Combo,
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> SimResult<RunResult> {
-    simulation_for(bench, combo, scale, cfg).run()
-}
-
-/// Builds (without running) the [`Simulation`] for one data point — the
-/// single place the (benchmark, policy, scale, config) tuple is turned
-/// into a configured simulation, shared by the serial entry points above
-/// and by [`harness::SimSweep`]'s worker jobs.
-pub fn simulation_for(
-    bench: Benchmark,
-    combo: Combo,
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> Simulation {
-    Simulation::new(bench.kernel_scaled(scale.iterations(bench)))
-        .config(cfg.clone())
-        .scheduler(combo.sched)
-        .prefetcher(combo.pf)
-}
-
 /// Converts one data point's outcome into the crash-safe form: `Err`
 /// becomes a stderr diagnostic plus `None`; a budget-exhausted run is kept
 /// but flagged so truncated numbers are never silently mixed with drained
@@ -224,11 +169,6 @@ pub fn report_outcome(label: &str, outcome: SimResult<RunResult>) -> Option<RunR
             None
         }
     }
-}
-
-/// `report_outcome` with a plain error (no run to keep).
-pub fn report_error(label: &str, e: &SimError) {
-    eprintln!("skipped {label}: [{}] {e}", e.class());
 }
 
 /// Geometric mean of positive values (the paper averages speedups this
@@ -266,20 +206,6 @@ pub fn csv_string(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Writes the table to `<name>.csv` when the process was invoked with
-/// `--csv <dir>` (legacy path; binaries now route through
-/// [`emit_table`], which also handles `--json`).
-pub fn maybe_write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--csv" {
-            let dir = args.next().unwrap_or_else(|| ".".into());
-            write_file(std::path::Path::new(&dir), name, "csv", &csv_string(headers, rows));
-            return;
-        }
-    }
 }
 
 /// Serialises a table as a deterministic JSON document:
@@ -368,6 +294,9 @@ mod tests {
         assert_eq!(BASELINE.label(), "LRR");
         assert_eq!(APRES.label(), "LAWS+SAP");
         assert_eq!(CCWS_STR.label(), "CCWS+STR");
+        let spec = |combo| JobSpec::new(Benchmark::Km, combo, Scale::Tiny, &Scale::Tiny.config());
+        assert_eq!(spec(BASELINE).label(), "KM/LRR");
+        assert_eq!(spec(APRES).label(), "KM/LAWS+SAP");
     }
 
     #[test]
@@ -426,7 +355,8 @@ mod tests {
 
     #[test]
     fn fast_run_completes() {
-        let r = run(Benchmark::Hs, BASELINE, Scale::Fast).expect("valid point runs");
+        let spec = JobSpec::new(Benchmark::Hs, BASELINE, Scale::Fast, &Scale::Fast.config());
+        let r = report_outcome(&spec.label(), spec.run()).expect("valid point runs");
         assert!(!r.timed_out);
         assert!(r.termination.is_drained());
         assert!(r.ipc() > 0.0);
@@ -436,9 +366,9 @@ mod tests {
     fn invalid_config_point_is_skipped_not_fatal() {
         let mut cfg = Scale::Fast.config();
         cfg.l1.ways = 0;
-        assert!(run_with_config(Benchmark::Hs, BASELINE, Scale::Fast, &cfg).is_none());
-        let err = try_run_with_config(Benchmark::Hs, BASELINE, Scale::Fast, &cfg)
-            .expect_err("zero ways must be rejected");
+        let spec = JobSpec::new(Benchmark::Hs, BASELINE, Scale::Fast, &cfg);
+        assert!(report_outcome(&spec.label(), spec.run()).is_none());
+        let err = spec.run().expect_err("zero ways must be rejected");
         assert_eq!(err.class(), "config-validation");
     }
 }

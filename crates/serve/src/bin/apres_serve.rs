@@ -250,7 +250,7 @@ fn direct_report(batch: &Batch, jobs: usize) -> BatchReport {
         .iter()
         .zip(outcomes)
         .map(|(spec, outcome)| JobReport {
-            label: apres_serve::service::job_label(spec),
+            label: spec.label(),
             spec_hash: spec.hash_hex(),
             outcome: outcome.map(Box::new),
         })

@@ -10,10 +10,11 @@
 //! 2. **Verified cache.** Known hashes are served from the persistent
 //!    [`ResultCache`] — after the payload hash re-verifies on read. A
 //!    corrupt or truncated entry is evicted and the job recomputed; a
-//!    cache hit can therefore never return unverified bytes.
+//!    cache hit can therefore never return unverified bytes. This is
+//!    [`run_cached`], the cache step the bench harness's sweeps share.
 //! 3. **Sharding.** Misses run on the [`apres_bench::map_parallel`]
-//!    worker pool, each attempt under `catch_unwind` so a panicking
-//!    worker is converted into a typed
+//!    worker pool, each attempt under [`apres_bench::isolate_panic`] so a
+//!    panicking worker is converted into a typed
 //!    [`SimError::InvariantViolation`] instead of tearing the batch down.
 //! 4. **Deadline + retry.** Each attempt is timed against the injected
 //!    [`Clock`]; exceeding the per-job deadline is a typed
@@ -31,7 +32,8 @@
 //! same batch are byte-identical. Operational detail lives in
 //! [`ServeStats`], reported on stderr by the binary.
 
-use apres_bench::cache::{JobSpec, Lookup, ResultCache};
+use apres_bench::cache::{run_cached, CacheCounters, JobSpec, ResultCache};
+use apres_bench::isolate_panic;
 use gpu_common::{Clock, RetryPolicy, ServiceFaultPlan, SimError};
 use gpu_sm::RunResult;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -163,9 +165,7 @@ impl BatchReport {
 /// Worker-shared counters (relaxed ordering: totals only).
 #[derive(Default)]
 struct Counters {
-    cache_hits: AtomicUsize,
-    cache_misses: AtomicUsize,
-    cache_evicted: AtomicUsize,
+    cache: CacheCounters,
     retries: AtomicUsize,
     recovered: AtomicUsize,
     failed: AtomicUsize,
@@ -224,7 +224,12 @@ pub fn serve_batch(
     let outcomes: Vec<Result<Box<RunResult>, SimError>> = apres_bench::map_parallel(
         opts.workers.max(1),
         unique,
-        |_, (submit_idx, spec)| run_job(spec, submit_idx, cache, opts, clock, &counters),
+        |_, (submit_idx, spec)| {
+            run_cached(cache, spec, &counters.cache, || {
+                run_job(spec, submit_idx, opts, clock, &counters)
+            })
+            .map(Box::new)
+        },
     );
 
     let jobs: Vec<JobReport> = batch
@@ -232,18 +237,19 @@ pub fn serve_batch(
         .iter()
         .zip(&share)
         .map(|(spec, &unique_idx)| JobReport {
-            label: job_label(spec),
+            label: spec.label(),
             spec_hash: spec.hash_hex(),
             outcome: outcomes[unique_idx].clone(),
         })
         .collect();
 
+    let cache_summary = counters.cache.summary();
     let stats = ServeStats {
         unique_jobs: outcomes.len(),
         duplicate_jobs: batch.jobs.len() - outcomes.len(),
-        cache_hits: counters.cache_hits.load(Ordering::Relaxed),
-        cache_misses: counters.cache_misses.load(Ordering::Relaxed),
-        cache_evicted: counters.cache_evicted.load(Ordering::Relaxed),
+        cache_hits: cache_summary.hits,
+        cache_misses: cache_summary.misses,
+        cache_evicted: cache_summary.evicted,
         retries: counters.retries.load(Ordering::Relaxed),
         recovered_jobs: counters.recovered.load(Ordering::Relaxed),
         failed_jobs: counters.failed.load(Ordering::Relaxed),
@@ -255,53 +261,15 @@ pub fn serve_batch(
     }
 }
 
-/// `BENCH/SCHED` or `BENCH/SCHED+PF` label of a job spec — the same
-/// format the bench harness uses for its stderr diagnostics.
-pub fn job_label(spec: &JobSpec) -> String {
-    match spec.pf {
-        apres_core::sim::PrefetcherChoice::None => {
-            format!("{}/{}", spec.bench.label(), spec.sched.label())
-        }
-        _ => format!(
-            "{}/{}+{}",
-            spec.bench.label(),
-            spec.sched.label(),
-            spec.pf.label()
-        ),
-    }
-}
-
-/// One unique job through the whole pipeline: verified lookup, then
-/// attempt/retry until success or budget exhaustion, then store.
+/// Computes one unique job that the cache did not serve: attempt/retry
+/// until success or budget exhaustion.
 fn run_job(
     spec: &JobSpec,
     submit_idx: usize,
-    cache: Option<&ResultCache>,
     opts: &ServeOptions,
     clock: &dyn Clock,
     counters: &Counters,
-) -> Result<Box<RunResult>, SimError> {
-    if let Some(cache) = cache {
-        match cache.lookup(spec) {
-            Lookup::Hit(result) => {
-                Counters::bump(&counters.cache_hits);
-                return Ok(result);
-            }
-            Lookup::Miss => Counters::bump(&counters.cache_misses),
-            Lookup::Corrupt { detail } => {
-                Counters::bump(&counters.cache_evicted);
-                eprintln!(
-                    "warning: evicted corrupt cache entry for job {}: {}",
-                    spec.hash_hex(),
-                    SimError::CacheCorruption {
-                        spec_hash: spec.hash(),
-                        detail,
-                    }
-                );
-            }
-        }
-    }
-
+) -> Result<RunResult, SimError> {
     let mut attempt: u32 = 1;
     let mut last: SimError;
     loop {
@@ -310,15 +278,7 @@ fn run_job(
                 if attempt > 1 {
                     Counters::bump(&counters.recovered);
                 }
-                if let Some(cache) = cache {
-                    if let Err(e) = cache.store(spec, &result) {
-                        eprintln!(
-                            "warning: could not store cache entry for job {}: {e}",
-                            spec.hash_hex()
-                        );
-                    }
-                }
-                return Ok(Box::new(result));
+                return Ok(result);
             }
             Err(e) => last = e,
         }
@@ -360,7 +320,7 @@ fn run_attempt(
         // the fault is visible in stats even on unbounded batches).
         clock.sleep_ms(opts.deadline_ms.unwrap_or(0) + 1);
     }
-    let outcome = catch_job_panic(submit_idx, || {
+    let outcome = isolate_panic(submit_idx, || {
         if opts.fault.should_kill(submit_idx, attempt) {
             ServiceFaultPlan::kill_worker_now();
         }
@@ -376,30 +336,6 @@ fn run_attempt(
         }
     }
     outcome
-}
-
-/// Runs one attempt under `catch_unwind`: a panicking worker (including
-/// the injected kill fault) becomes a typed invariant violation naming
-/// the job and the panic payload, and the thread survives.
-fn catch_job_panic(
-    submit_idx: usize,
-    f: impl FnOnce() -> Result<RunResult, SimError>,
-) -> Result<RunResult, SimError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&'static str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("<non-string panic payload>");
-            Err(SimError::invariant(
-                "worker-panic",
-                format!("job {submit_idx} panicked: {message}"),
-                0,
-            ))
-        }
-    }
 }
 
 #[cfg(test)]

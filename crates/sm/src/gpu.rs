@@ -245,11 +245,20 @@ impl Gpu {
     /// watchdog window; [`SimError::InvariantViolation`] when the drain-time
     /// conservation audit fails.
     pub fn run(mut self, max_cycles: Cycle) -> SimResult<RunResult> {
+        self.drive(max_cycles, |_| {})?;
+        self.finish(max_cycles)
+    }
+
+    /// The one cycle loop behind every run entry point: step and check the
+    /// watchdog until the GPU drains or `max_cycles` is reached, calling
+    /// `on_cycle` after each cycle. The caller then calls [`Gpu::finish`].
+    fn drive(&mut self, max_cycles: Cycle, mut on_cycle: impl FnMut(&Gpu)) -> SimResult<()> {
         while self.now < max_cycles && !self.is_finished() {
             self.step();
             self.watchdog_check()?;
+            on_cycle(self);
         }
-        self.finish(max_cycles)
+        Ok(())
     }
 
     /// Watchdog: progress = instructions issued + responses delivered.
@@ -323,13 +332,11 @@ impl Gpu {
         assert!(interval > 0, "interval must be > 0");
         let mut samples = Vec::new();
         let mut last = Snapshot::default();
-        while self.now < max_cycles && !self.is_finished() {
-            self.step();
-            self.watchdog_check()?;
-            if self.now.is_multiple_of(interval) {
-                let cur = self.snapshot();
+        self.drive(max_cycles, |gpu| {
+            if gpu.now.is_multiple_of(interval) {
+                let cur = gpu.snapshot();
                 samples.push(Sample {
-                    cycle: self.now,
+                    cycle: gpu.now,
                     ipc: (cur.instructions - last.instructions) as f64 / interval as f64,
                     l1_miss_rate: {
                         let acc = cur.l1_accesses - last.l1_accesses;
@@ -343,7 +350,7 @@ impl Gpu {
                 });
                 last = cur;
             }
-        }
+        })?;
         Ok((self.finish(max_cycles)?, samples))
     }
 
@@ -368,10 +375,7 @@ impl Gpu {
             ));
         };
         traced.enable_trace(capacity);
-        while self.now < max_cycles && !self.is_finished() {
-            self.step();
-            self.watchdog_check()?;
-        }
+        self.drive(max_cycles, |_| {})?;
         let trace = self
             .sms
             .get_mut(sm)

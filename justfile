@@ -2,7 +2,7 @@
 
 # Build + test + lint + docs + determinism + fault-tolerance smoke +
 # performance regression gate, exactly what CI runs.
-check: build test clippy lint-kernels lint-workspace doc bench-smoke serve-smoke perf-gate
+check: build test clippy lint-kernels lint-workspace doc bench-smoke serve-smoke perfbench perf-gate
 
 build:
     cargo build --release --workspace --bins --examples --benches
@@ -45,6 +45,12 @@ bench-smoke:
 # byte-identical to a direct harness run (needs `just build` first).
 serve-smoke:
     bash scripts/serve_smoke.sh
+
+# The benchmark's own tests (golden digests, traced-vs-untraced equality):
+# a change to an API perfbench compiles against fails here, not in the
+# benchmark run.
+perfbench:
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Measured-performance regression gate: re-times the pinned suite of
 # perf_trajectory plain and traced (SM 0), alternating which runs first
